@@ -288,7 +288,10 @@ impl wcp_core::engine::Attacker for AdversaryConfig {
 ///     ScratchAdversary::default(),
 /// )?;
 /// let step = engine.apply(ClusterEvent::Fail { node: 2 })?;
-/// assert!(step.exact && step.oracle_exact);
+/// assert!(step.exact);
+/// // The replan oracle, when the availability bound did not rule it out,
+/// // is attacked exactly too.
+/// assert!(step.oracle.is_none_or(|oracle| oracle.exact));
 /// # Ok::<(), wcp_core::dynamic::DynamicError>(())
 /// ```
 #[derive(Debug, Default)]

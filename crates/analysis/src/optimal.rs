@@ -15,12 +15,16 @@
 //! bound shows how much of the achievable range a Combo placement
 //! provably captures (the `optimality` experiment binary prints it).
 
-use crate::theorem2::alpha;
+use crate::theorem2::checked_alpha;
 use wcp_combin::binomial;
 
 /// The universal availability upper bound `b − ⌈b·α/C(n,r)⌉`, valid for
 /// every placement of `b` objects with `r` replicas on `n` nodes against
 /// the worst `k` failures at threshold `s`.
+///
+/// Returns `None` when the bound is not computable in `u128` (`C(n,r)`,
+/// `α` or `b·α` overflows, e.g. `n = 200, r = 100`) or the shape is
+/// degenerate (`k > n` or `r > n`).
 ///
 /// # Examples
 ///
@@ -29,16 +33,16 @@ use wcp_combin::binomial;
 ///
 /// // No placement of 600 pair-replicated objects on 71 nodes survives
 /// // 2 worst-case failures untouched once b·p ≥ 1.
-/// let ub = avail_upper_bound(71, 2, 2, 2, 600);
+/// let ub = avail_upper_bound(71, 2, 2, 2, 600).expect("fits u128");
 /// assert!(ub < 600);
 /// ```
 #[must_use]
-pub fn avail_upper_bound(n: u16, k: u16, r: u16, s: u16, b: u64) -> u64 {
-    let a = alpha(n, k, r, s);
-    let cnr = binomial(u64::from(n), u64::from(r)).expect("C(n,r) fits u128");
-    // ⌈b·a/cnr⌉ in exact integer arithmetic.
-    let killed = (u128::from(b) * a).div_ceil(cnr);
-    b.saturating_sub(u64::try_from(killed).expect("≤ b"))
+pub fn avail_upper_bound(n: u16, k: u16, r: u16, s: u16, b: u64) -> Option<u64> {
+    let a = checked_alpha(n, k, r, s)?;
+    let cnr = binomial(u64::from(n), u64::from(r)).filter(|&c| c > 0)?;
+    // ⌈b·a/cnr⌉ in exact integer arithmetic; a ≤ cnr, so killed ≤ b.
+    let killed = u128::from(b).checked_mul(a)?.div_ceil(cnr);
+    Some(b.saturating_sub(u64::try_from(killed).ok()?))
 }
 
 /// The fraction of the *provably achievable* improvement over Random that
@@ -66,7 +70,7 @@ mod tests {
         let rsets: Vec<Vec<u16>> = KSubsets::new(n, r).collect();
         // Build placements by taking every (i, j, l) triple of r-sets.
         let b = 3u64;
-        let ub = avail_upper_bound(n, k, r, s, b);
+        let ub = avail_upper_bound(n, k, r, s, b).unwrap();
         for i in 0..rsets.len() {
             for j in 0..rsets.len() {
                 for l in 0..rsets.len() {
@@ -96,7 +100,7 @@ mod tests {
     fn bound_tightens_with_k() {
         let mut prev = u64::MAX;
         for k in 2..=10u16 {
-            let ub = avail_upper_bound(71, k, 3, 2, 2400);
+            let ub = avail_upper_bound(71, k, 3, 2, 2400).unwrap();
             assert!(ub <= prev);
             prev = ub;
         }
@@ -111,7 +115,7 @@ mod tests {
             (257, 6, 5, 3, 9600),
             (71, 5, 2, 2, 600),
         ] {
-            let ub = avail_upper_bound(n, k, r, s, b);
+            let ub = avail_upper_bound(n, k, r, s, b).unwrap();
             assert!(ub <= b);
             // prAvail (a specific strategy's estimate) also respects it
             // only loosely (it is probabilistic), but the exact-adversary
@@ -119,6 +123,19 @@ mod tests {
             // placements; here we sanity-check magnitude.
             assert!(ub > b / 2, "bound should not be vacuous at these scales");
         }
+    }
+
+    #[test]
+    fn bound_is_none_when_not_computable() {
+        // C(200,100) ≈ 9·10⁵⁸ overflows u128; SystemParams allows r = n/2.
+        assert_eq!(avail_upper_bound(200, 3, 100, 1, 1000), None);
+        // α fits but b·α does not.
+        assert!(checked_alpha(130, 3, 20, 1).is_some());
+        assert_eq!(checked_alpha(200, 3, 100, 1), None);
+        assert_eq!(avail_upper_bound(130, 3, 20, 1, u64::MAX), None);
+        // Degenerate shapes.
+        assert_eq!(avail_upper_bound(5, 6, 2, 2, 10), None);
+        assert_eq!(avail_upper_bound(5, 2, 6, 2, 10), None);
     }
 
     #[test]

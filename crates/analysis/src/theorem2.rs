@@ -24,7 +24,7 @@ use wcp_combin::{binomial, ln_binomial_tail, LnFact};
 /// # Panics
 ///
 /// Panics if the binomials overflow `u128` (they cannot for `n ≤ 65535`,
-/// `r ≤ 5`).
+/// `r ≤ 5`) or `k > n`.
 ///
 /// # Examples
 ///
@@ -38,14 +38,21 @@ use wcp_combin::{binomial, ln_binomial_tail, LnFact};
 /// ```
 #[must_use]
 pub fn alpha(n: u16, k: u16, r: u16, s: u16) -> u128 {
+    checked_alpha(n, k, r, s).expect("α(n,k,r,s) fits u128")
+}
+
+/// [`alpha`], or `None` when `k > n` or an intermediate value overflows
+/// `u128` (e.g. `n = 200, r = 100`).
+#[must_use]
+pub(crate) fn checked_alpha(n: u16, k: u16, r: u16, s: u16) -> Option<u128> {
     let (n, k, r, s) = (u64::from(n), u64::from(k), u64::from(r), u64::from(s));
+    let rest = n.checked_sub(k)?;
     let mut acc = 0u128;
     for s_prime in s..=r.min(k) {
-        let a = binomial(k, s_prime).expect("small binomial");
-        let b = binomial(n - k, r - s_prime).expect("binomial fits u128");
-        acc += a * b;
+        let term = binomial(k, s_prime)?.checked_mul(binomial(rest, r - s_prime)?)?;
+        acc = acc.checked_add(term)?;
     }
-    acc
+    Some(acc)
 }
 
 /// Workspace for repeated Theorem-2 evaluations over the same `b` (holds

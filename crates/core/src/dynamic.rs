@@ -22,17 +22,32 @@
 //!   only the replicas that lived on the lost node, on an arrival it
 //!   drains only enough replicas to pull the newcomer up to the mean
 //!   load. After every event it re-runs the Definition-1 adversary (any
-//!   [`Attacker`]) against the repaired placement *and* against a
-//!   from-scratch replan at the current membership, and falls back to
-//!   the replan when incremental availability degrades past the
-//!   configured [`DynamicConfig::threshold`] — so bounded movement never
-//!   silently costs more than `threshold · b` objects of worst-case
-//!   availability;
+//!   [`Attacker`]) against the repaired placement *and*, unless a bound
+//!   rules it out (below), against a from-scratch replan at the current
+//!   membership (the *oracle*), and falls back to the replan when
+//!   incremental availability degrades past the configured
+//!   [`DynamicConfig::threshold`] — so bounded movement never silently
+//!   costs more than `threshold · b` objects of worst-case availability;
 //! * [`StepReport`] / [`MovementReport`] — per-event and cumulative
 //!   accounting of objects moved (incremental vs what a full replan
 //!   would have moved) and availability (incremental vs oracle), the
 //!   quantities the differential test suite and the `churn` experiment
 //!   sweep report.
+//!
+//! # Skipping the oracle
+//!
+//! Under the default [`OraclePolicy::Bounded`], the engine skips the
+//! oracle's plan, build, attack and movement diff when the attack on the
+//! repaired placement is exact and its availability is within
+//! `threshold · b` of `upper`, the universal averaging bound
+//! [`wcp_analysis::optimal::avail_upper_bound`] at the current
+//! membership. Proof that the skip changes no decision: `upper` holds for
+//! every placement, so the oracle's exact availability is at most
+//! `upper`, hence `oracle − availability ≤ upper − availability ≤
+//! threshold · b` and the replan could not have been adopted.
+//! [`OraclePolicy::Always`] runs the oracle on every event (the reference
+//! the differential tests compare against, and what per-event
+//! replan-movement studies need).
 //!
 //! # Node slots
 //!
@@ -47,24 +62,28 @@
 //! # Examples
 //!
 //! ```
-//! use wcp_core::dynamic::{ClusterEvent, DynamicConfig, DynamicEngine};
+//! use wcp_core::dynamic::{ClusterEvent, DynamicConfig, DynamicEngine, OraclePolicy};
 //! use wcp_core::{StrategyKind, SystemParams};
 //!
 //! let params = SystemParams::new(13, 26, 3, 2, 3)?;
+//! let config = DynamicConfig {
+//!     oracle: OraclePolicy::Always, // report the replan oracle every event
+//!     ..DynamicConfig::default()
+//! };
 //! let mut engine = DynamicEngine::new(
 //!     params,
 //!     StrategyKind::Ring,
 //!     16, // capacity: three spare slots beyond the initial 13
-//!     DynamicConfig::default(),
+//!     config,
 //! )?;
 //! let step = engine.apply(ClusterEvent::Fail { node: 4 })?;
 //! // Only the failed node's replicas moved …
 //! assert_eq!(step.moved, 6); // ring: 13 nodes × 26 objects × 3 replicas → 6 on node 4
-//! assert!(step.moved < step.replan_moved);
+//! let oracle = step.oracle.expect("OraclePolicy::Always runs the oracle");
+//! assert!(step.moved < oracle.replan_moved);
 //! // … and worst-case availability stays within the configured threshold
 //! // of a from-scratch replan.
-//! assert!(step.availability as f64
-//!     >= step.oracle_availability as f64 - 0.02 * 26.0);
+//! assert!(step.availability as f64 >= oracle.availability as f64 - 0.02 * 26.0);
 //! # Ok::<(), wcp_core::dynamic::DynamicError>(())
 //! ```
 
@@ -73,6 +92,7 @@ use crate::engine::{Attacker, ExhaustiveAttacker};
 use crate::strategy::{PlacementStrategy, PlannerContext, StrategyKind};
 use crate::topology::Topology;
 use crate::{Placement, PlacementError, RandomVariant, SystemParams};
+use wcp_analysis::optimal::avail_upper_bound;
 
 /// A cluster-membership event (the dynamic half of the model; the
 /// static half — what the adversary does between events — is Definition
@@ -216,6 +236,11 @@ pub struct DynamicConfig {
     /// current membership size (e.g. a packing slot that only exists at
     /// certain `n`).
     pub fallback_seed: u64,
+    /// When the from-scratch replan oracle runs: only when the universal
+    /// availability bound cannot rule its adoption out
+    /// ([`OraclePolicy::Bounded`], the default), or on every event
+    /// ([`OraclePolicy::Always`]).
+    pub oracle: OraclePolicy,
 }
 
 impl Default for DynamicConfig {
@@ -224,8 +249,27 @@ impl Default for DynamicConfig {
             threshold: 0.02,
             ctx: PlannerContext::default(),
             fallback_seed: 0xd15c,
+            oracle: OraclePolicy::Bounded,
         }
     }
+}
+
+/// When [`DynamicEngine::apply`] runs the from-scratch replan oracle.
+///
+/// Both policies adopt the same placement at every event (see the
+/// module docs for the proof); they differ only in whether
+/// [`StepReport::oracle`] is filled in when the bound already decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OraclePolicy {
+    /// Skip the oracle when the attack on the repaired placement is exact
+    /// and its availability is within `threshold · b` of
+    /// [`avail_upper_bound`] at the current membership: no replan can
+    /// then be adopted. Runs the oracle when the bound is not computable.
+    Bounded,
+    /// Run the oracle on every event (for per-event replan-movement
+    /// accounting, and as the reference that always does the skipped
+    /// work).
+    Always,
 }
 
 /// How the engine restored validity after an event.
@@ -251,6 +295,12 @@ impl RepairAction {
 }
 
 /// The outcome of applying one [`ClusterEvent`].
+///
+/// Under [`OraclePolicy::Bounded`], `oracle` is `None` exactly when the
+/// universal availability bound proved that no replan could be adopted
+/// (oracle ≤ upper ≤ availability + `threshold · b`; `action` is then
+/// [`RepairAction::Repaired`]). Under [`OraclePolicy::Always`] it is
+/// always present.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StepReport {
     /// The applied event.
@@ -262,29 +312,43 @@ pub struct StepReport {
     /// Replicas actually moved by the adopted placement (incremental
     /// repair's movement, or the replan diff when the engine fell back).
     pub moved: u64,
-    /// Replicas a full replan would have moved relative to the pre-event
-    /// placement (the movement cost the incremental path avoided).
-    pub replan_moved: u64,
     /// Worst-case availability of the adopted placement.
     pub availability: u64,
-    /// Worst-case availability of the from-scratch replan (the oracle).
-    pub oracle_availability: u64,
     /// Whether the attack on the adopted placement was proven worst.
     pub exact: bool,
-    /// Whether the attack on the oracle placement was proven worst.
-    pub oracle_exact: bool,
-    /// The oracle strategy's claimed availability lower bound at the
-    /// current membership (possibly vacuous).
-    pub lower_bound: i64,
     /// The attacker's availability certificate for the *adopted*
     /// placement, when it emitted one (probe attackers report `None`).
     pub certificate: Option<Certificate>,
+    /// The from-scratch replan oracle's figures, when it ran.
+    pub oracle: Option<OracleReport>,
+}
+
+/// What the from-scratch replan oracle found at one event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OracleReport {
+    /// Worst-case availability of the replan.
+    pub availability: u64,
+    /// Whether the attack on the replan was proven worst.
+    pub exact: bool,
+    /// Replicas the replan would have moved relative to the pre-event
+    /// placement (the movement cost the incremental path avoided).
+    pub replan_moved: u64,
+    /// The replan strategy's claimed availability lower bound at the
+    /// current membership (possibly vacuous).
+    pub lower_bound: i64,
 }
 
 impl StepReport {
-    /// Renders the step as one JSON object (jsonl-friendly).
+    /// Renders the step as one JSON object (jsonl-friendly). The
+    /// oracle's keys (`replan_moved`, `oracle_availability`,
+    /// `oracle_exact`, `lower_bound`) are always present, and `null` when
+    /// the oracle was skipped.
     #[must_use]
     pub fn to_json(&self) -> String {
+        fn or_null<T: std::fmt::Display>(v: Option<T>) -> String {
+            v.map_or_else(|| "null".to_string(), |v| v.to_string())
+        }
+        let oracle = self.oracle.as_ref();
         format!(
             concat!(
                 "{{\"event\": {{\"kind\": \"{}\", \"node\": {}}}, ",
@@ -299,12 +363,12 @@ impl StepReport {
             self.action.label(),
             self.active,
             self.moved,
-            self.replan_moved,
+            or_null(oracle.map(|o| o.replan_moved)),
             self.availability,
-            self.oracle_availability,
+            or_null(oracle.map(|o| o.availability)),
             self.exact,
-            self.oracle_exact,
-            self.lower_bound,
+            or_null(oracle.map(|o| o.exact)),
+            or_null(oracle.map(|o| o.lower_bound)),
             self.certificate
                 .as_ref()
                 .map_or_else(|| "null".to_string(), Certificate::to_json),
@@ -323,13 +387,16 @@ pub struct MovementReport {
     pub replans: u64,
     /// Replicas moved by the adopted placements.
     pub moved: u64,
-    /// Replicas full replans would have moved at every event.
+    /// Replicas full replans would have moved, summed over the events
+    /// where the oracle ran (every event under [`OraclePolicy::Always`]).
     pub replan_moved: u64,
 }
 
 impl MovementReport {
     /// `moved / replan_moved`: the fraction of full-replan movement the
     /// incremental path actually paid (1.0 when no event occurred).
+    /// Meaningful under [`OraclePolicy::Always`], where both sums cover
+    /// the same events.
     #[must_use]
     pub fn movement_ratio(&self) -> f64 {
         if self.replan_moved == 0 {
@@ -567,8 +634,10 @@ impl<A: Attacker> DynamicEngine<A> {
     /// Applies one membership event: updates the slot states, repairs
     /// the placement incrementally, re-attacks, and falls back to a
     /// from-scratch replan when incremental availability degrades past
-    /// [`DynamicConfig::threshold`]. On any error the engine state is
-    /// unchanged (the event is rejected).
+    /// [`DynamicConfig::threshold`]. Under [`OraclePolicy::Bounded`] the
+    /// replan is skipped when the universal availability bound proves it
+    /// could not be adopted (see the module docs). On any error the
+    /// engine state is unchanged (the event is rejected).
     ///
     /// # Errors
     ///
@@ -615,70 +684,62 @@ impl<A: Attacker> DynamicEngine<A> {
             ClusterEvent::Leave { .. } => Slot::Drained,
             ClusterEvent::Fail { .. } => Slot::Failed,
         };
-        let before = self.placement.clone();
         let (repaired, moved) = if event.is_departure() {
             self.repair_departure(v)?
         } else {
             self.rebalance_arrival(v)?
         };
-        let outcome = self
-            .attacker
-            .attack(&repaired, self.base.s(), self.base.k());
-        let availability = self.base.b() - outcome.failed;
-
-        // Differential oracle: a from-scratch replan at the current
-        // membership, attacked by the same adversary.
-        let (strategy, compact) = self.plan_for(active_after)?;
-        let lower_bound = strategy.lower_bound(&compact);
-        let oracle = self.widen(&strategy.build(&compact)?)?;
-        let oracle_outcome = self.attacker.attack(&oracle, self.base.s(), self.base.k());
-        let oracle_availability = self.base.b() - oracle_outcome.failed;
-        let replan_moved = movement_between(&before, &oracle);
-
-        let degraded = (oracle_availability.saturating_sub(availability)) as f64
-            > self.config.threshold * self.base.b() as f64;
-        let oracle_exact = oracle_outcome.exact;
-        let (action, adopted, adopted_avail, adopted_exact, adopted_moved, adopted_cert) =
-            if degraded {
-                (
-                    RepairAction::Replanned,
-                    oracle,
-                    oracle_availability,
-                    oracle_exact,
-                    replan_moved,
-                    oracle_outcome.certificate,
-                )
-            } else {
-                (
-                    RepairAction::Repaired,
-                    repaired,
-                    availability,
-                    outcome.exact,
-                    moved,
-                    outcome.certificate,
-                )
+        let (b, s, k) = (self.base.b(), self.base.s(), self.base.k());
+        let slack = self.config.threshold * b as f64;
+        let outcome = self.attacker.attack(&repaired, s, k);
+        let mut step = StepReport {
+            event,
+            action: RepairAction::Repaired,
+            active: active_after,
+            moved,
+            availability: b - outcome.failed,
+            exact: outcome.exact,
+            certificate: outcome.certificate,
+            oracle: None,
+        };
+        // No replan beats the universal bound, so when the repair is
+        // exactly within `slack` of it the oracle cannot be adopted.
+        let bound_decides = self.config.oracle == OraclePolicy::Bounded
+            && step.exact
+            && avail_upper_bound(active_after, k, self.base.r(), s, b)
+                .is_some_and(|upper| upper.saturating_sub(step.availability) as f64 <= slack);
+        let mut adopted = repaired;
+        if !bound_decides {
+            // Differential oracle: a from-scratch replan at the current
+            // membership, attacked by the same adversary.
+            let (strategy, compact) = self.plan_for(active_after)?;
+            let replan = self.widen(&strategy.build(&compact)?)?;
+            let replan_outcome = self.attacker.attack(&replan, s, k);
+            let oracle = OracleReport {
+                availability: b - replan_outcome.failed,
+                exact: replan_outcome.exact,
+                replan_moved: movement_between(&self.placement, &replan),
+                lower_bound: strategy.lower_bound(&compact),
             };
+            if oracle.availability.saturating_sub(step.availability) as f64 > slack {
+                step.action = RepairAction::Replanned;
+                step.moved = oracle.replan_moved;
+                step.availability = oracle.availability;
+                step.exact = oracle.exact;
+                step.certificate = replan_outcome.certificate;
+                adopted = replan;
+            }
+            self.movement.replan_moved += oracle.replan_moved;
+            step.oracle = Some(oracle);
+        }
         self.placement = adopted;
         self.movement.events += 1;
-        self.movement.moved += adopted_moved;
-        self.movement.replan_moved += replan_moved;
-        match action {
+        self.movement.moved += step.moved;
+        match step.action {
             RepairAction::Repaired => self.movement.repairs += 1,
             RepairAction::Replanned => self.movement.replans += 1,
         }
-        Ok(StepReport {
-            event,
-            action,
-            active: active_after,
-            moved: adopted_moved,
-            replan_moved,
-            availability: adopted_avail,
-            oracle_availability,
-            exact: adopted_exact,
-            oracle_exact,
-            lower_bound,
-            certificate: adopted_cert,
-        })
+        Ok(step)
     }
 
     /// Applies a whole trace, stopping at the first error.
@@ -873,13 +934,18 @@ mod tests {
     }
 
     fn ring_engine() -> DynamicEngine {
-        DynamicEngine::new(
-            params(13, 26, 3, 2, 3),
-            StrategyKind::Ring,
-            16,
-            DynamicConfig::default(),
-        )
-        .unwrap()
+        ring_engine_with(DynamicConfig::default())
+    }
+
+    fn ring_engine_with(config: DynamicConfig) -> DynamicEngine {
+        DynamicEngine::new(params(13, 26, 3, 2, 3), StrategyKind::Ring, 16, config).unwrap()
+    }
+
+    fn always() -> DynamicConfig {
+        DynamicConfig {
+            oracle: OraclePolicy::Always,
+            ..DynamicConfig::default()
+        }
     }
 
     #[test]
@@ -893,14 +959,14 @@ mod tests {
 
     #[test]
     fn departure_moves_only_touched_replicas() {
-        let mut engine = ring_engine();
+        let mut engine = ring_engine_with(always());
         let load_before = engine.placement().loads()[4];
         let step = engine.apply(ClusterEvent::Fail { node: 4 }).unwrap();
         engine.validate().unwrap();
         assert_eq!(step.moved, u64::from(load_before));
         assert_eq!(engine.placement().loads()[4], 0);
         assert_eq!(step.active, 12);
-        assert!(step.replan_moved >= step.moved);
+        assert!(step.oracle.unwrap().replan_moved >= step.moved);
     }
 
     #[test]
@@ -967,24 +1033,93 @@ mod tests {
     #[test]
     fn availability_stays_within_threshold_of_oracle() {
         let trace = ChurnSpec::new("dyn-core", 16, 13, 25).generate();
-        let mut engine = DynamicEngine::new(
-            params(13, 26, 3, 2, 3),
-            StrategyKind::Ring,
-            16,
-            DynamicConfig::default(),
-        )
-        .unwrap();
+        let mut engine = ring_engine_with(always());
         for event in &trace.events {
             let step = engine.apply(event.into()).unwrap();
             engine.validate().unwrap();
+            let oracle = step.oracle.expect("OraclePolicy::Always runs the oracle");
             assert!(
-                step.availability as f64 >= step.oracle_availability as f64 - 0.02 * 26.0 - 1e-9,
+                step.availability as f64 >= oracle.availability as f64 - 0.02 * 26.0 - 1e-9,
                 "{step:?}"
             );
         }
         let m = engine.movement();
         assert_eq!(m.events, 25);
         assert_eq!(m.repairs + m.replans, m.events);
+    }
+
+    /// Replays a 25-event ring trace and returns the steps.
+    fn replay(config: DynamicConfig, attacker: ExhaustiveAttacker) -> Vec<StepReport> {
+        let trace = ChurnSpec::new("dyn-skip", 16, 13, 25).generate();
+        let p = params(13, 26, 3, 2, 3);
+        let mut engine =
+            DynamicEngine::with_attacker(p, StrategyKind::Ring, 16, config, attacker).unwrap();
+        trace
+            .events
+            .iter()
+            .map(|e| engine.apply(e.into()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn bounded_policy_skips_the_oracle_only_when_the_bound_decides() {
+        // Ring at b = 26 sits 2–4 objects below the bound; a slack of
+        // 0.15·26 = 3.9 objects lets the bound decide some events only.
+        let bounded = DynamicConfig {
+            threshold: 0.15,
+            ..DynamicConfig::default()
+        };
+        let reference = DynamicConfig {
+            oracle: OraclePolicy::Always,
+            ..bounded.clone()
+        };
+        let bounded = replay(bounded, ExhaustiveAttacker::default());
+        let reference = replay(reference, ExhaustiveAttacker::default());
+        let skipped = bounded.iter().filter(|s| s.oracle.is_none()).count();
+        assert!(
+            0 < skipped && skipped < bounded.len(),
+            "trace too weak: the bound decided {skipped} of {} events",
+            bounded.len()
+        );
+        for (b, a) in bounded.iter().zip(&reference) {
+            assert_eq!((b.action, b.availability), (a.action, a.availability));
+            let upper = avail_upper_bound(a.active, 3, 3, 2, 26).unwrap();
+            assert!(a.oracle.unwrap().availability <= upper, "{a:?}");
+            if b.oracle.is_none() {
+                assert_eq!(a.action, RepairAction::Repaired);
+            } else {
+                assert_eq!(b.oracle, a.oracle);
+            }
+        }
+    }
+
+    #[test]
+    fn inexact_attacks_always_run_the_oracle() {
+        // C(16, 3) = 560 k-sets exceed a budget of 1: every attack is a
+        // probe, which cannot prove the repair close to the bound — not
+        // even with a slack (13 objects) wider than ring's gap to it.
+        let config = DynamicConfig {
+            threshold: 0.5,
+            ..DynamicConfig::default()
+        };
+        let steps = replay(config, ExhaustiveAttacker { budget: 1 });
+        for step in &steps {
+            assert!(!step.exact, "{step:?}");
+            assert!(step.oracle.is_some(), "{step:?}");
+        }
+    }
+
+    #[test]
+    fn negative_threshold_never_skips_the_oracle() {
+        let config = DynamicConfig {
+            threshold: -1.0,
+            ..DynamicConfig::default()
+        };
+        let steps = replay(config, ExhaustiveAttacker::default());
+        for step in &steps {
+            assert!(step.exact, "{step:?}");
+            assert!(step.oracle.is_some(), "{step:?}");
+        }
     }
 
     #[test]
@@ -1153,5 +1288,18 @@ mod tests {
         assert!(json.contains("\"kind\": \"fail\""));
         assert!(json.contains("\"action\": "));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let skipped = StepReport {
+            oracle: None,
+            ..step.clone()
+        };
+        let json = skipped.to_json();
+        for key in [
+            "replan_moved",
+            "oracle_availability",
+            "oracle_exact",
+            "lower_bound",
+        ] {
+            assert!(json.contains(&format!("\"{key}\": null")), "{json}");
+        }
     }
 }

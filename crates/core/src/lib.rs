@@ -74,7 +74,7 @@ pub use certificate::{
 pub use combo::{combo_plan, ComboPlan, ComboStrategy};
 pub use dynamic::{
     movement_between, ClusterEvent, DynamicConfig, DynamicEngine, DynamicError, MovementReport,
-    RepairAction, StepReport,
+    OraclePolicy, OracleReport, RepairAction, StepReport,
 };
 pub use engine::{
     AttackOutcome, Attacker, Engine, EvaluationReport, ExhaustiveAttacker, LoadStats, Timings,

@@ -17,7 +17,7 @@
 
 use std::process::ExitCode;
 use wcp_adversary::{AdversaryConfig, ScratchAdversary};
-use wcp_core::dynamic::{DynamicConfig, DynamicEngine, MovementReport, StepReport};
+use wcp_core::dynamic::{DynamicConfig, DynamicEngine, MovementReport, OraclePolicy, StepReport};
 use wcp_core::engine::{Attacker, ExhaustiveAttacker};
 use wcp_core::{Parallelism, StrategyKind, SystemParams};
 use wcp_sim::churn::{ChurnSpec, ChurnTrace};
@@ -241,8 +241,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The table reports per-event replan movement, so the oracle runs on
+    // every event.
     let config = DynamicConfig {
         threshold: cli.threshold,
+        oracle: OraclePolicy::Always,
         ..DynamicConfig::default()
     };
 
@@ -370,7 +373,9 @@ fn main() -> ExitCode {
             }
             let min_avail = steps.iter().map(|s| s.availability).min().unwrap_or(cli.b);
             let final_avail = steps.last().map_or(cli.b, |s| s.availability);
-            let all_exact = steps.iter().all(|s| s.exact && s.oracle_exact);
+            let all_exact = steps
+                .iter()
+                .all(|s| s.exact && s.oracle.is_some_and(|o| o.exact));
             let row = vec![
                 trace.len().to_string(),
                 csv_safe(&kind.label()),

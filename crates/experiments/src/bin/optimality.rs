@@ -44,7 +44,8 @@ fn main() {
                 let profile = PackingProfile::paper(&params).expect("paper grid");
                 let lb = combo_plan(&profile, &params).expect("DP").lb_avail;
                 let pr = vuln.pr_avail_paper(n, k, r, s, b);
-                let ub = avail_upper_bound(n, k, r, s, b);
+                let ub =
+                    avail_upper_bound(n, k, r, s, b).expect("the paper grid's bound fits u128");
                 let captured =
                     optimality_fraction(lb, pr, ub).map_or("n/a".into(), |f| format!("{:.2}", f));
                 table.row(vec![

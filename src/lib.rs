@@ -96,10 +96,10 @@ pub mod prelude {
         combo_plan, lb_avail_co, lb_avail_si, movement_between, repair_domain_collisions,
         AdaptiveSnapshot, AttackOutcome, Attacker, ClusterEvent, ComboStrategy, DomainRepaired,
         DomainSpreadStrategy, DynamicConfig, DynamicEngine, DynamicError, Engine, EvaluationReport,
-        ExhaustiveAttacker, FailureUnit, GroupStrategy, LoadStats, MovementReport, PackingProfile,
-        Placement, PlacementError, PlacementStrategy, PlannerContext, RandomStrategy,
-        RandomVariant, RepairAction, RingStrategy, SimpleStrategy, StepReport, StrategyKind,
-        SystemParams, Timings, Topology,
+        ExhaustiveAttacker, FailureUnit, GroupStrategy, LoadStats, MovementReport, OraclePolicy,
+        OracleReport, PackingProfile, Placement, PlacementError, PlacementStrategy, PlannerContext,
+        RandomStrategy, RandomVariant, RepairAction, RingStrategy, SimpleStrategy, StepReport,
+        StrategyKind, SystemParams, Timings, Topology,
     };
     pub use wcp_designs::registry::RegistryConfig;
     pub use wcp_service::{

@@ -12,13 +12,21 @@
 //!    within the configured degradation threshold of the oracle's, and
 //! 3. for deterministic strategies the engine's internal oracle must
 //!    *equal* an independently computed `Engine` evaluation (the
-//!    differential check proper).
+//!    differential check proper), and
+//! 4. an engine under the default `OraclePolicy::Bounded`, run in
+//!    lockstep, must make the same decision as the reference that runs
+//!    the oracle on every event (`OraclePolicy::Always`): same action,
+//!    placement, availability, exactness and certificate. Both the
+//!    adopted and the oracle availability must respect the universal
+//!    upper bound the skip relies on, and a skipped oracle must be one
+//!    the reference did not adopt.
 //!
 //! The acceptance-scale trace (n = 71, b = 1200, r = 3, s = 2, k = 3,
 //! 200 events) additionally bounds movement: incremental repair must
 //! move < 20% of the replicas the per-event full replans would have.
 
 use proptest::prelude::*;
+use wcp_analysis::avail_upper_bound;
 use worst_case_placement::prelude::*;
 
 /// The exact adversary used everywhere in this suite (default budgets
@@ -27,41 +35,111 @@ fn attacker() -> ScratchAdversary {
     ScratchAdversary::new(AdversaryConfig::default())
 }
 
-/// Replays `trace` through a `DynamicEngine`, asserting the per-event
-/// invariants; returns the movement report.
+/// What a lockstep replay observed.
+struct Replay {
+    /// The reference (`OraclePolicy::Always`) engine's movement report.
+    movement: MovementReport,
+    /// Events on which the `Bounded` engine skipped the oracle.
+    skipped: usize,
+}
+
+/// Replays `trace` through a reference `DynamicEngine` that runs the
+/// oracle on every event and, in lockstep, one under the default
+/// bounded policy, asserting the per-event invariants.
 fn replay_checked(
     params: SystemParams,
     kind: StrategyKind,
     trace: &ChurnTrace,
     threshold: f64,
     cross_check_oracle: bool,
-) -> MovementReport {
-    let config = DynamicConfig {
+) -> Replay {
+    let bounded_config = DynamicConfig {
         threshold,
         ..DynamicConfig::default()
+    };
+    assert_eq!(bounded_config.oracle, OraclePolicy::Bounded);
+    let config = DynamicConfig {
+        oracle: OraclePolicy::Always,
+        ..bounded_config.clone()
     };
     let mut engine =
         DynamicEngine::with_attacker(params, kind.clone(), trace.capacity, config, attacker())
             .expect("initial plan");
+    let mut bounded = DynamicEngine::with_attacker(
+        params,
+        kind.clone(),
+        trace.capacity,
+        bounded_config,
+        attacker(),
+    )
+    .expect("initial plan");
     let slack = threshold * params.b() as f64;
+    let mut skipped = 0;
     for (i, event) in trace.events.iter().enumerate() {
         let step = engine.apply(event.into()).expect("legal trace event");
+        let fast = bounded.apply(event.into()).expect("legal trace event");
         engine.validate().unwrap_or_else(|e| {
             panic!(
                 "{}: invariants violated after event {i} ({event:?}): {e}",
                 kind.label()
             )
         });
+        let oracle = step.oracle.expect("OraclePolicy::Always runs the oracle");
         assert!(
-            step.exact && step.oracle_exact,
+            step.exact && oracle.exact,
             "{}: event {i} not attacked exactly: {step:?}",
             kind.label()
         );
         assert!(
-            step.availability as f64 >= step.oracle_availability as f64 - slack - 1e-9,
+            step.availability as f64 >= oracle.availability as f64 - slack - 1e-9,
             "{}: event {i} degrades past threshold: {step:?}",
             kind.label()
         );
+        // The bound the skip relies on holds for both placements.
+        let upper = avail_upper_bound(step.active, params.k(), params.r(), params.s(), params.b())
+            .expect("the bound is computable at these shapes");
+        assert!(
+            step.availability <= upper && oracle.availability <= upper,
+            "{}: event {i} beats the universal bound {upper}: {step:?}",
+            kind.label()
+        );
+        // Lockstep: the bounded engine decides exactly as the reference.
+        assert_eq!(
+            (
+                fast.action,
+                fast.moved,
+                fast.availability,
+                fast.exact,
+                &fast.certificate
+            ),
+            (
+                step.action,
+                step.moved,
+                step.availability,
+                step.exact,
+                &step.certificate
+            ),
+            "{}: event {i}: bounded engine diverges from the reference",
+            kind.label()
+        );
+        assert_eq!(
+            bounded.placement(),
+            engine.placement(),
+            "{}: event {i}: bounded engine adopted a different placement",
+            kind.label()
+        );
+        match fast.oracle {
+            None => {
+                skipped += 1;
+                assert_eq!(
+                    step.action,
+                    RepairAction::Repaired,
+                    "{}: event {i}: skipped an oracle the reference adopted",
+                    kind.label()
+                );
+            }
+            Some(ran) => assert_eq!(ran, oracle, "{}: event {i}", kind.label()),
+        }
         // The attacker is sound: re-counting the witness equals the claim.
         if cross_check_oracle {
             // The from-scratch Engine is the oracle: at the current
@@ -71,19 +149,22 @@ fn replay_checked(
             let compact =
                 SystemParams::new(step.active, params.b(), params.r(), params.s(), params.k())
                     .expect("active membership is a valid size");
-            let oracle = Engine::with_attacker(compact, AdversaryConfig::default())
+            let scratch = Engine::with_attacker(compact, AdversaryConfig::default())
                 .evaluate(&kind)
                 .expect("oracle evaluates");
-            assert!(oracle.exact);
+            assert!(scratch.exact);
             assert_eq!(
-                oracle.measured_availability,
-                step.oracle_availability,
+                scratch.measured_availability,
+                oracle.availability,
                 "{}: event {i}: internal oracle diverges from from-scratch Engine",
                 kind.label()
             );
         }
     }
-    *engine.movement()
+    Replay {
+        movement: *engine.movement(),
+        skipped,
+    }
 }
 
 proptest! {
@@ -107,7 +188,7 @@ proptest! {
             ..ChurnSpec::new("diff-prop", n + spare, n, events)
         }
         .generate();
-        let movement = replay_checked(params, StrategyKind::Ring, &trace, 0.05, true);
+        let movement = replay_checked(params, StrategyKind::Ring, &trace, 0.05, true).movement;
         prop_assert_eq!(movement.events, trace.len() as u64);
         prop_assert_eq!(movement.repairs + movement.replans, movement.events);
     }
@@ -127,7 +208,7 @@ proptest! {
             ..ChurnSpec::new("diff-rand", 15, 12, events)
         }
         .generate();
-        let movement = replay_checked(params, kind, &trace, 0.05, true);
+        let movement = replay_checked(params, kind, &trace, 0.05, true).movement;
         prop_assert_eq!(movement.events, trace.len() as u64);
     }
 }
@@ -167,8 +248,15 @@ fn acceptance_200_event_trace() {
     let params = SystemParams::new(71, 1200, 3, 2, 3).expect("valid");
     let trace = ChurnSpec::new("acceptance", 80, 71, 200).generate();
     assert_eq!(trace.len(), 200);
-    let movement = replay_checked(params, StrategyKind::Combo, &trace, 0.05, false);
+    let Replay { movement, skipped } =
+        replay_checked(params, StrategyKind::Combo, &trace, 0.05, false);
     assert_eq!(movement.events, 200);
+    // Combo sits well within the 5% slack of the universal bound here,
+    // so the bounded engine must actually skip oracles.
+    assert!(
+        skipped > 0,
+        "the bound never decided on the acceptance trace"
+    );
     assert!(
         movement.movement_ratio() < 0.20,
         "incremental repair moved {} of {} replicas full replans would ({}%)",

@@ -162,13 +162,15 @@ fn baseline_bounds_are_tight_when_nonvacuous() {
 /// Dynamic conformance: every registered family also survives a short
 /// churn trace through the `DynamicEngine` — after every event the live
 /// placement validates, the attack is exact, and availability stays
-/// within the configured threshold of the engine's from-scratch oracle.
+/// within the configured threshold of the engine's from-scratch oracle
+/// (run on every event, so each step carries the oracle's figures).
 #[test]
 fn every_family_survives_churn_through_the_dynamic_engine() {
     let params = SystemParams::new(13, 26, 3, 2, 3).expect("valid");
     let trace = ChurnSpec::new("conformance-dyn", 16, 13, 8).generate();
     let config = DynamicConfig {
         threshold: 0.05,
+        oracle: OraclePolicy::Always,
         ..DynamicConfig::default()
     };
     let slack = config.threshold * params.b() as f64;
@@ -192,13 +194,14 @@ fn every_family_survives_churn_through_the_dynamic_engine() {
             engine
                 .validate()
                 .unwrap_or_else(|e| panic!("{}: invalid after event {i}: {e}", kind.label()));
+            let oracle = step.oracle.expect("OraclePolicy::Always runs the oracle");
             assert!(
-                step.exact && step.oracle_exact,
+                step.exact && oracle.exact,
                 "{}: event {i} must be exactly attackable",
                 kind.label()
             );
             assert!(
-                step.availability as f64 >= step.oracle_availability as f64 - slack - 1e-9,
+                step.availability as f64 >= oracle.availability as f64 - slack - 1e-9,
                 "{}: event {i} degrades past threshold: {step:?}",
                 kind.label()
             );
