@@ -1,16 +1,16 @@
 //! The prover side of the availability-certificate split.
 //!
-//! `Ladder::certified()` runs the adversary ladder exactly as the
-//! uncertified builder does — the traced local-search variants *are*
-//! the untraced implementations, so the two cannot drift — while
-//! recording what the `wcp-verify` crate needs to
+//! `Ladder::certified()` runs the adversary ladder through the same
+//! driver as the uncertified builder (`crate::ladder`), so the two
+//! cannot drift, while recording what the `wcp-verify` crate needs to
 //! re-check the verdict in `O(witness)`: each rung's witness with a
 //! replayable decision-trace hash, and, when the exact rung completed,
 //! a per-root-child **bound ledger** for the branch-and-bound tree.
 //!
-//! The ledger is computed *post hoc* on the packed kernel. Both the
-//! serial DFS root frame (depth 0 is below its re-sort depth) and the
-//! parallel frontier split order root children by the same total key —
+//! The ledger is computed *post hoc* on the binding the exact rung
+//! searched (the packed kernel for node budgets). Both the serial DFS
+//! root frame (depth 0 is below its re-sort depth) and the parallel
+//! frontier split order root children by the same total key —
 //! `(gain, load, node)` descending at the empty set — and expand
 //! exactly the first `n − k + 1` of them, so re-deriving that order
 //! after the search reproduces the true root frontier. For each root
@@ -23,7 +23,9 @@
 //!
 //! No attack whose set contains `x` as its first element (in root
 //! order) can fail more than `bound(x)` objects: the remaining `k − 1`
-//! nodes add at most one hit each per object. The verifier recomputes
+//! nodes add at most one hit each per object (failure units at most
+//! `c_max` each, so their ledger evaluates the bound at
+//! `(k − 1)·c_max` hits). The verifier recomputes
 //! both the order and every bound on the scalar [`crate::FailureCounts`]
 //! oracle, so a kernel bug skewing either turns into a certificate
 //! rejection instead of a silently wrong verdict.
@@ -33,29 +35,34 @@
 //! without expanding (the root short-circuit), the ledger still proves
 //! optimality outright.
 
-use crate::exact;
-use crate::search::{self, LadderTrace};
-use crate::{parallel, AdversaryConfig, AdversaryScratch, WorstCase};
+use crate::domain::hits_budget;
+use crate::search::{Backend, Choice, LadderTrace};
 use wcp_core::{
     placement_digest, Certificate, CertificateKind, Fnv, LedgerEntry, Placement, Rung, RungKind,
 };
 
 /// FNV-1a over `(index, failed, witness)` triples in execution order —
 /// the replayable decision-trace hash stored in heuristic rungs.
-pub(crate) fn trace_hash(entries: &[(u64, Vec<u16>)]) -> u64 {
+pub(crate) fn trace_hash(entries: &[Choice]) -> u64 {
     let mut h = Fnv::new();
-    for (i, (failed, nodes)) in entries.iter().enumerate() {
+    for (i, entry) in entries.iter().enumerate() {
         h.write_u64(i as u64);
-        h.write_u64(*failed);
-        h.write_u64(nodes.len() as u64);
-        for &nd in nodes {
+        h.write_u64(entry.failed);
+        h.write_u64(entry.nodes.len() as u64);
+        for &nd in &entry.nodes {
             h.write_u64(u64::from(nd));
         }
     }
     h.finish()
 }
 
-fn base_certificate(placement: &Placement, kind: CertificateKind, s: u16, k: u16) -> Certificate {
+/// A certificate bound to `(placement, s, k)` with no rungs yet.
+pub(crate) fn base_certificate(
+    placement: &Placement,
+    kind: CertificateKind,
+    s: u16,
+    k: u16,
+) -> Certificate {
     Certificate {
         kind,
         n: placement.num_nodes(),
@@ -71,196 +78,66 @@ fn base_certificate(placement: &Placement, kind: CertificateKind, s: u16, k: u16
     }
 }
 
-/// Seals the shared tail of every certificate: a degenerate-budget
-/// claim needs no search evidence beyond its single exact rung.
-fn seal_degenerate(
-    mut cert: Certificate,
-    failed: u64,
-    witness: Vec<u16>,
-    units: Vec<u32>,
-) -> Certificate {
-    cert.rungs.push(Rung {
-        kind: RungKind::Exact,
-        failed,
-        witness,
-        units,
-        trace: 0,
-    });
-    cert.claimed_failed = failed;
-    cert.exact = true;
-    cert
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).certified().run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).certified().run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_certified(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> (WorstCase, Certificate) {
-    certified_ladder(placement, s, k, config, &mut AdversaryScratch::new())
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).scratch(scratch).certified().run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).scratch(scratch).certified().run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_certified_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> (WorstCase, Certificate) {
-    certified_ladder(placement, s, k, config, scratch)
-}
-
-/// The certified auto ladder behind `Ladder::certified().run(…)`.
-///
-/// The returned [`WorstCase`] is identical to the uncertified entry
-/// point's for the same inputs (the ladder is shared, not mirrored).
-///
-/// # Panics
-///
-/// Panics if `k > n` or `s > r` (placement shape mismatch).
-pub(crate) fn certified_ladder(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> (WorstCase, Certificate) {
-    assert!(k <= placement.num_nodes(), "k must be ≤ n");
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    let n = placement.num_nodes();
-    let mut cert = base_certificate(placement, CertificateKind::Node, s, k);
-    if k == 0 || k >= n {
-        // Degenerate budgets need no search: k = 0 fails nothing, k = n
-        // fails everything reachable. One exact rung, no ledger.
-        let wc = if k == 0 {
-            WorstCase {
-                failed: 0,
-                nodes: Vec::new(),
-                exact: true,
-            }
-        } else {
-            exact::degenerate_all_nodes(placement, s, k)
-        };
-        let cert = seal_degenerate(cert, wc.failed, wc.nodes.clone(), Vec::new());
-        return (wc, cert);
+/// A rung recording `choice`'s claim and witness.
+pub(crate) fn rung(kind: RungKind, choice: &Choice, trace: u64) -> Rung {
+    Rung {
+        kind,
+        failed: choice.failed,
+        witness: choice.nodes.clone(),
+        units: choice.units.clone(),
+        trace,
     }
-    let mut trace = LadderTrace::default();
-    let (heuristic, exact_result) = match config.parallelism {
-        Some(par) => {
-            let h = parallel::local_search_worst_parallel_traced(
-                placement, s, k, config, par, &mut trace,
-            );
-            let e =
-                parallel::exact_worst_parallel(placement, s, k, config.exact_budget, h.failed, par);
-            (h, e)
-        }
-        None => {
-            let h = search::local_search_worst_traced(placement, s, k, config, scratch, &mut trace);
-            // The histogram rungs never bind the packed kernel, so the
-            // exact rung binds it itself above the threshold.
-            let e = if config.uses_histogram(placement.num_objects()) {
-                exact::exact_worst_with(placement, s, k, config.exact_budget, h.failed, scratch)
-            } else {
-                exact::exact_worst_rebound(placement, s, k, config.exact_budget, h.failed, scratch)
-            };
-            (h, e)
-        }
-    };
-    if let Some(greedy) = trace.greedy.take() {
-        let entry = [greedy];
-        cert.rungs.push(Rung {
-            kind: RungKind::Greedy,
-            failed: entry[0].0,
-            witness: entry[0].1.clone(),
-            units: Vec::new(),
-            trace: trace_hash(&entry),
-        });
+}
+
+/// Records the heuristic rungs: the greedy seed and the local search,
+/// each with the hash of its part of the trace.
+pub(crate) fn push_heuristic_rungs(
+    cert: &mut Certificate,
+    trace: &LadderTrace,
+    heuristic: &Choice,
+) {
+    if let Some(greedy) = &trace.greedy {
+        let hash = trace_hash(std::slice::from_ref(greedy));
+        cert.rungs.push(rung(RungKind::Greedy, greedy, hash));
     }
-    cert.rungs.push(Rung {
-        kind: RungKind::LocalSearch,
-        failed: heuristic.failed,
-        witness: heuristic.nodes.clone(),
-        units: Vec::new(),
-        trace: trace_hash(&trace.restarts),
-    });
-    let result = match exact_result {
-        Some(ex) => {
-            // The DFS only returns node sets when it beats the seed;
-            // reuse the heuristic's witness when the incumbent stood.
-            let wc = if ex.failed > heuristic.failed {
-                ex
-            } else {
-                WorstCase {
-                    exact: true,
-                    ..heuristic
-                }
-            };
-            cert.rungs.push(Rung {
-                kind: RungKind::Exact,
-                failed: wc.failed,
-                witness: wc.nodes.clone(),
-                units: Vec::new(),
-                trace: 0,
-            });
-            cert.ledger = node_ledger(placement, s, k, scratch);
-            wc
-        }
-        None => heuristic,
-    };
-    cert.claimed_failed = result.failed;
-    cert.exact = result.exact;
-    (result, cert)
+    let hash = trace_hash(&trace.restarts);
+    cert.rungs
+        .push(rung(RungKind::LocalSearch, heuristic, hash));
 }
 
 /// The exact rung's post-hoc bound ledger: one admissible bound per
 /// root child of the branch-and-bound tree, in the canonical
-/// `(gain, load, node)` descending root order, covering exactly the
-/// `n − k + 1` children the root frame expands.
-fn node_ledger(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    scratch: &mut AdversaryScratch,
-) -> Vec<LedgerEntry> {
-    debug_assert!(k >= 1 && k < placement.num_nodes());
-    let n = placement.num_nodes();
-    let (pc, _, _) = scratch.bind_packed(placement, s);
-    pc.clear();
-    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
+/// `(gain, weight, element)` descending root order at the empty set,
+/// covering exactly the `universe − k + 1` children the root frame
+/// expands (`1 ≤ k < universe`).
+pub(crate) fn ledger<B: Backend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
+    be.clear();
+    let hits = hits_budget(k.saturating_sub(1), be.max_hits());
+    let mut keys: Vec<(u64, u64, usize)> = (0..be.universe())
+        .map(|x| (be.gain(x), be.weight(x), x))
+        .collect();
     keys.sort_unstable_by(|a, b| b.cmp(a));
-    let roots = usize::from(n - k) + 1;
-    let mut ledger = Vec::with_capacity(roots);
-    for &(_, _, nd) in keys.iter().take(roots) {
-        pc.add_node(nd);
-        let bound = pc.failed() + pc.failable_within(k - 1);
-        pc.remove_node(nd);
-        ledger.push(LedgerEntry {
-            root: u32::from(nd),
-            bound,
-        });
-    }
-    ledger
+    let roots = (be.universe() + 1).saturating_sub(usize::from(k));
+    keys.iter()
+        .take(roots)
+        .map(|&(_, _, x)| {
+            be.add(x);
+            let bound = be.failed() + be.failable_within(hits);
+            be.remove(x);
+            LedgerEntry {
+                root: x as u32,
+                bound,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AdversaryConfig;
     use crate::Ladder;
-    use wcp_core::{Parallelism, RandomStrategy, RandomVariant, SystemParams};
+    use wcp_core::{Parallelism, RandomStrategy, RandomVariant, SystemParams, Topology};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
         let params = SystemParams::new(n, b, r, 1, 1).unwrap();
@@ -271,18 +148,43 @@ mod tests {
 
     #[test]
     fn certified_result_matches_uncertified_ladder() {
+        // One driver serves every input: node budgets on the packed and
+        // the histogram-forced backends, serial and parallel, and unit
+        // budgets on a flat and a two-level topology.
+        let topologies = [
+            Topology::split(16, &[]).unwrap(),
+            Topology::split(16, &[4, 2]).unwrap(),
+        ];
         for seed in 0..3u64 {
             let p = random_placement(16, 70, 3, seed);
             for (s, k) in [(1u16, 0u16), (1, 3), (2, 4), (3, 5), (2, 16)] {
                 for parallelism in [None, Some(Parallelism::new(4))] {
-                    let config = AdversaryConfig {
-                        parallelism,
-                        ..AdversaryConfig::default()
-                    };
-                    let plain = Ladder::new(&config).run(&p, s, k).worst;
-                    let out = Ladder::new(&config).certified().run(&p, s, k);
+                    for hist_threshold in [AdversaryConfig::default().hist_threshold, 0] {
+                        let config = AdversaryConfig {
+                            parallelism,
+                            hist_threshold,
+                            ..AdversaryConfig::default()
+                        };
+                        let ctx = format!(
+                            "seed={seed} s={s} k={k} par={parallelism:?} hist={hist_threshold}"
+                        );
+                        let plain = Ladder::new(&config).run(&p, s, k).worst;
+                        let out = Ladder::new(&config).certified().run(&p, s, k);
+                        let (wc, cert) = (out.worst, out.certificate.expect("certified"));
+                        assert_eq!(wc, plain, "{ctx}");
+                        assert_eq!(cert.claimed_failed, wc.failed, "{ctx}");
+                        assert_eq!(cert.exact, wc.exact, "{ctx}");
+                    }
+                }
+                for topo in &topologies {
+                    if usize::from(k) > topo.failure_units().len() {
+                        continue;
+                    }
+                    let config = AdversaryConfig::default();
+                    let plain = Ladder::new(&config).run_domain(&p, topo, s, k).worst;
+                    let out = Ladder::new(&config).certified().run_domain(&p, topo, s, k);
                     let (wc, cert) = (out.worst, out.certificate.expect("certified"));
-                    assert_eq!(wc, plain, "seed={seed} s={s} k={k} par={parallelism:?}");
+                    assert_eq!(wc, plain, "seed={seed} s={s} k={k} {topo:?}");
                     assert_eq!(cert.claimed_failed, wc.failed);
                     assert_eq!(cert.exact, wc.exact);
                 }
@@ -324,7 +226,10 @@ mod tests {
 
     #[test]
     fn trace_hash_is_order_sensitive() {
-        let a = vec![(3u64, vec![1u16, 2]), (5, vec![0, 4])];
+        let a = vec![
+            Choice::of_nodes(3, vec![1, 2]),
+            Choice::of_nodes(5, vec![0, 4]),
+        ];
         let mut b = a.clone();
         b.swap(0, 1);
         assert_ne!(trace_hash(&a), trace_hash(&b));

@@ -3,8 +3,7 @@
 //! bit-packed kernel ([`PackedCounts`]) the production ladder runs on.
 
 use crate::bitmap::{
-    and_popcount, eq_word, ge_word, tail_mask, words_for, BitIter, NodeSet, BLOCK_WORDS, LANES,
-    WORD_BITS,
+    and_popcount, eq_word, ge_word, tail_mask, words_for, NodeSet, BLOCK_WORDS, LANES, WORD_BITS,
 };
 use wcp_core::Placement;
 
@@ -224,6 +223,11 @@ impl FailureCounts {
     /// The accounting threshold `s`.
     pub(crate) fn threshold(&self) -> u16 {
         self.s
+    }
+
+    /// Number of nodes.
+    pub(crate) fn num_nodes(&self) -> u16 {
+        self.in_set.len() as u16
     }
 
     /// Ids of the objects with a replica on `node` (ascending).
@@ -678,12 +682,6 @@ impl PackedCounts {
     /// queries (`O(b/64)`).
     pub(crate) fn and_popcount_row(&self, node: u16, mask: &[u64]) -> u64 {
         and_popcount(self.row_words(node), mask)
-    }
-
-    /// Nodes outside the failed set, ascending — lets scans skip the
-    /// per-node `contains` branch entirely.
-    pub(crate) fn iter_absent(&self) -> BitIter<'_> {
-        self.members.iter_absent()
     }
 
     /// Raw membership words plus the valid-bit mask of the last word,

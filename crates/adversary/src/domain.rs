@@ -8,18 +8,20 @@
 //! dies once `s` of its replicas sit on downed leaves, and overlapping
 //! choices (a leaf plus the rack above it) count each leaf once.
 //!
-//! The search ladder mirrors the per-node ladder decision for decision
-//! — same greedy tie-breaks, same local-search scan orders and RNG
-//! stream, same branch-and-bound shape (incumbent seeding, histogram
-//! bound, shallow-depth supply bound and live child re-sorting, closed
-//! form last level) — so on the **flat** topology it reproduces
-//! [`crate::worst_case_failures`]'s [`crate::WorstCase`] bit for bit. It runs
-//! on the word-parallel [`PackedCounts`] kernel by folding each unit's
-//! per-node coverage into ripple-carry `add_node`/`remove_node` updates
-//! (a node is added on its 0 → 1 coverage transition only, removed on
-//! 1 → 0), with the scalar [`FailureCounts`] backend extended
-//! identically as the [`scalar`] reference ladder for the differential
-//! suite (`tests/domain_differential.rs`).
+//! Failure units are one more backend of the node ladder: the greedy
+//! and local-search rungs and the ladder driver are the very ones
+//! [`crate::Ladder::run`] climbs, so on the **flat** topology
+//! [`crate::Ladder::run_domain`] reproduces the node ladder's
+//! [`crate::WorstCase`] bit for bit. The exact rung is a unit
+//! branch-and-bound of the same shape as the node DFS (incumbent
+//! seeding, histogram bound, shallow-depth supply bound and live child
+//! re-sorting, closed-form last level). The unit backend folds each
+//! unit's per-node coverage into `add_node`/`remove_node` updates of a
+//! per-node backend (a node is added on its 0 → 1 coverage transition
+//! only, removed on 1 → 0): the word-parallel [`PackedCounts`] kernel in
+//! production, the scalar [`FailureCounts`] oracle in the [`scalar`]
+//! reference ladder of the differential suite
+//! (`tests/domain_differential.rs`).
 //!
 //! The bounds generalize admissibly: with `m` unit failures left, one
 //! unit can add at most `c_max = max_u min(|leaves(u)|, r)` hits to one
@@ -27,13 +29,11 @@
 //! hits; for flat topologies `c_max = 1` recovers the node bounds
 //! exactly.
 
-use crate::certify::trace_hash;
 use crate::counts::{FailureCounts, PackedCounts};
-use crate::AdversaryConfig;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, Rung, RungKind, Topology};
+use crate::ladder::{drive, Rungs};
+use crate::search::{self, Backend, Choice, LadderTrace};
+use crate::{certify, AdversaryConfig};
+use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, Topology};
 
 /// Depths at which the DFS re-sorts children by live gain and applies
 /// the supply bound (kept equal to the node ladder's constant so flat
@@ -52,6 +52,17 @@ pub struct DomainWorstCase {
     pub nodes: Vec<u16>,
     /// Whether `failed` is provably the maximum.
     pub exact: bool,
+}
+
+impl DomainWorstCase {
+    fn from_choice(choice: Choice, exact: bool) -> Self {
+        Self {
+            failed: choice.failed,
+            units: choice.units,
+            nodes: choice.nodes,
+            exact,
+        }
+    }
 }
 
 /// The immutable per-(placement, topology) unit index: leaf sets,
@@ -90,7 +101,8 @@ impl DomainIndex {
             .map(|nodes| {
                 nodes
                     .iter()
-                    .map(|&nd| u64::from(loads[usize::from(nd)]))
+                    .filter_map(|&nd| loads.get(usize::from(nd)))
+                    .map(|&load| u64::from(load))
                     .sum()
             })
             .collect();
@@ -107,11 +119,16 @@ impl DomainIndex {
         self.units.len()
     }
 
+    /// The leaf set of unit `u`.
+    fn leaves(&self, u: usize) -> &[u16] {
+        self.units.get(u).map_or(&[], Vec::as_slice)
+    }
+
     /// The union of the given units' leaves (sorted, deduplicated).
     fn nodes_of(&self, units: &[u32]) -> Vec<u16> {
         let mut nodes: Vec<u16> = units
             .iter()
-            .flat_map(|&u| self.units[u as usize].iter().copied())
+            .flat_map(|&u| self.leaves(u as usize).iter().copied())
             .collect();
         nodes.sort_unstable();
         nodes.dedup();
@@ -119,50 +136,53 @@ impl DomainIndex {
     }
 }
 
-/// The per-node accounting surface [`PackedCounts`] and
-/// [`FailureCounts`] share; the coverage transition logic below is
-/// written once against it so the packed and scalar backends cannot
-/// drift apart.
-trait NodeCounts {
-    fn add_node(&mut self, node: u16);
-    fn remove_node(&mut self, node: u16);
-    fn gain(&self, node: u16) -> u64;
-    fn failed(&self) -> u64;
+/// A per-node [`Backend`] the unit backend can run on — the packed
+/// kernel or the scalar oracle — plus the supply queries of the unit
+/// DFS. The unit backend is written once against it, so the packed and
+/// scalar domain ladders cannot drift apart.
+pub(crate) trait NodeCounts: Backend {
+    /// Builds the accounting for a placement at threshold `s`.
+    fn build(placement: &Placement, s: u16) -> Self;
+    /// Prepares [`NodeCounts::node_supply`] queries at `hits` into
+    /// `mask` (a no-op for backends that need no mask).
+    fn supply_mask(&self, hits: u16, mask: &mut Vec<u64>);
+    /// Objects on `node` within `hits` more hits of failing.
+    fn node_supply(&self, node: u16, hits: u16, mask: &[u64]) -> u64;
 }
 
 impl NodeCounts for PackedCounts {
-    fn add_node(&mut self, node: u16) {
-        PackedCounts::add_node(self, node);
+    fn build(placement: &Placement, s: u16) -> Self {
+        PackedCounts::new(placement, s)
     }
-    fn remove_node(&mut self, node: u16) {
-        PackedCounts::remove_node(self, node);
+    fn supply_mask(&self, hits: u16, mask: &mut Vec<u64>) {
+        self.failable_mask_into(hits, mask);
     }
-    fn gain(&self, node: u16) -> u64 {
-        PackedCounts::gain(self, node)
-    }
-    fn failed(&self) -> u64 {
-        PackedCounts::failed(self)
+    fn node_supply(&self, node: u16, _hits: u16, mask: &[u64]) -> u64 {
+        self.and_popcount_row(node, mask)
     }
 }
 
 impl NodeCounts for FailureCounts {
-    fn add_node(&mut self, node: u16) {
-        FailureCounts::add_node(self, node);
+    fn build(placement: &Placement, s: u16) -> Self {
+        FailureCounts::new(placement, s)
     }
-    fn remove_node(&mut self, node: u16) {
-        FailureCounts::remove_node(self, node);
-    }
-    fn gain(&self, node: u16) -> u64 {
-        FailureCounts::gain(self, node)
-    }
-    fn failed(&self) -> u64 {
-        FailureCounts::failed(self)
+    fn supply_mask(&self, _hits: u16, _mask: &mut Vec<u64>) {}
+    fn node_supply(&self, node: u16, hits: u16, _mask: &[u64]) -> u64 {
+        let s = self.threshold();
+        let lo = s.saturating_sub(hits);
+        self.objects_on(node)
+            .iter()
+            .filter(|&&obj| {
+                let h = self.hit_count(obj as usize);
+                h >= lo && h < s
+            })
+            .count() as u64
     }
 }
 
-/// Chosen-unit and leaf-coverage bookkeeping shared by both backends:
-/// a leaf is failed in the underlying counts iff its coverage is
-/// positive, so overlapping units never double-count a node.
+/// Chosen-unit and leaf-coverage bookkeeping: a leaf is failed in the
+/// underlying counts iff its coverage is positive, so overlapping units
+/// never double-count a node.
 #[derive(Debug, Default)]
 struct CoverState {
     chosen: Vec<bool>,
@@ -175,6 +195,14 @@ impl CoverState {
         self.chosen.resize(units, false);
         self.cover.clear();
         self.cover.resize(usize::from(n), 0);
+    }
+
+    fn is_chosen(&self, u: usize) -> bool {
+        self.chosen.get(u).copied().unwrap_or(false)
+    }
+
+    fn covered(&self, nd: u16) -> bool {
+        self.cover.get(usize::from(nd)).is_some_and(|&c| c > 0)
     }
 
     fn chosen_units(&self) -> Vec<u32> {
@@ -196,13 +224,16 @@ impl CoverState {
     /// Fails unit `u` (leaf set `leaves`): each leaf enters the counts
     /// on its 0 → 1 coverage transition only.
     fn fail_unit<C: NodeCounts>(&mut self, counts: &mut C, u: usize, leaves: &[u16]) {
-        debug_assert!(!self.chosen[u], "unit already failed");
-        self.chosen[u] = true;
+        debug_assert!(!self.is_chosen(u), "unit already failed");
+        if let Some(chosen) = self.chosen.get_mut(u) {
+            *chosen = true;
+        }
         for &nd in leaves {
-            let c = &mut self.cover[usize::from(nd)];
-            *c += 1;
-            if *c == 1 {
-                counts.add_node(nd);
+            if let Some(c) = self.cover.get_mut(usize::from(nd)) {
+                *c += 1;
+                if *c == 1 {
+                    counts.add(usize::from(nd));
+                }
             }
         }
     }
@@ -210,13 +241,16 @@ impl CoverState {
     /// Unfails unit `u`: each leaf leaves the counts on its 1 → 0
     /// coverage transition only.
     fn unfail_unit<C: NodeCounts>(&mut self, counts: &mut C, u: usize, leaves: &[u16]) {
-        debug_assert!(self.chosen[u], "unit not failed");
-        self.chosen[u] = false;
+        debug_assert!(self.is_chosen(u), "unit not failed");
+        if let Some(chosen) = self.chosen.get_mut(u) {
+            *chosen = false;
+        }
         for &nd in leaves {
-            let c = &mut self.cover[usize::from(nd)];
-            *c -= 1;
-            if *c == 0 {
-                counts.remove_node(nd);
+            if let Some(c) = self.cover.get_mut(usize::from(nd)) {
+                *c -= 1;
+                if *c == 0 {
+                    counts.remove(usize::from(nd));
+                }
             }
         }
     }
@@ -228,23 +262,18 @@ impl CoverState {
     /// case applies and undoes.
     fn gain_unit<C: NodeCounts>(&self, counts: &mut C, leaves: &[u16], tmp: &mut Vec<u16>) -> u64 {
         tmp.clear();
-        tmp.extend(
-            leaves
-                .iter()
-                .copied()
-                .filter(|&nd| self.cover[usize::from(nd)] == 0),
-        );
-        match tmp[..] {
+        tmp.extend(leaves.iter().copied().filter(|&nd| !self.covered(nd)));
+        match tmp.as_slice() {
             [] => 0,
-            [nd] => counts.gain(nd),
+            &[nd] => counts.gain(usize::from(nd)),
             _ => {
                 let before = counts.failed();
                 for &nd in tmp.iter() {
-                    counts.add_node(nd);
+                    counts.add(usize::from(nd));
                 }
                 let after = counts.failed();
                 for &nd in tmp.iter().rev() {
-                    counts.remove_node(nd);
+                    counts.remove(usize::from(nd));
                 }
                 after - before
             }
@@ -252,345 +281,112 @@ impl CoverState {
     }
 }
 
-/// The backend contract the generic search harness drives: failure
-/// accounting at unit granularity, plus the bound queries of the exact
-/// DFS. Implemented by the word-parallel kernel wrapper
-/// ([`PackedDomainBackend`]) and the scalar reference wrapper
-/// ([`ScalarDomainBackend`]); both must agree on every observable,
-/// which `tests/domain_differential.rs` asserts.
-trait DomainBackend {
-    fn index(&self) -> &DomainIndex;
-    fn failed(&self) -> u64;
-    fn chosen(&self, u: usize) -> bool;
-    fn chosen_units(&self) -> Vec<u32>;
-    fn failed_nodes(&self) -> Vec<u16>;
-    fn fail_unit(&mut self, u: usize);
-    fn unfail_unit(&mut self, u: usize);
-    /// Additional failures if `u` were failed (non-mutating overall;
-    /// may internally apply and undo).
-    fn gain_unit(&mut self, u: usize) -> u64;
-    /// Objects within `hits` more replica hits of failing.
-    fn failable_within_hits(&self, hits: u16) -> u64;
-    /// Prepares [`unit_supply`](Self::unit_supply) queries at `hits`.
-    fn begin_supply(&mut self, hits: u16);
-    /// Σ over the unit's uncovered leaves of hosted failable objects.
-    fn unit_supply(&self, u: usize) -> u64;
-    /// Empties the failed set.
-    fn clear(&mut self);
-}
-
-/// [`DomainBackend`] on the word-parallel [`PackedCounts`] kernel.
+/// Failure units of a topology as a [`Backend`], over a per-node
+/// backend `C`; also answers the exact rung's supply-bound queries.
 #[derive(Debug)]
-struct PackedDomainBackend {
+struct UnitBackend<C> {
     idx: DomainIndex,
-    pc: PackedCounts,
+    counts: C,
     cov: CoverState,
-    failable: Vec<u64>,
-    tmp: Vec<u16>,
-}
-
-impl PackedDomainBackend {
-    fn new(placement: &Placement, topology: &Topology, s: u16) -> Self {
-        let idx = DomainIndex::new(placement, topology);
-        let mut cov = CoverState::default();
-        cov.reset(idx.len(), idx.n);
-        Self {
-            idx,
-            pc: PackedCounts::new(placement, s),
-            cov,
-            failable: Vec::new(),
-            tmp: Vec::new(),
-        }
-    }
-}
-
-impl DomainBackend for PackedDomainBackend {
-    fn index(&self) -> &DomainIndex {
-        &self.idx
-    }
-
-    fn failed(&self) -> u64 {
-        self.pc.failed()
-    }
-
-    fn chosen(&self, u: usize) -> bool {
-        self.cov.chosen[u]
-    }
-
-    fn chosen_units(&self) -> Vec<u32> {
-        self.cov.chosen_units()
-    }
-
-    fn failed_nodes(&self) -> Vec<u16> {
-        self.cov.failed_nodes()
-    }
-
-    fn fail_unit(&mut self, u: usize) {
-        self.cov.fail_unit(&mut self.pc, u, &self.idx.units[u]);
-    }
-
-    fn unfail_unit(&mut self, u: usize) {
-        self.cov.unfail_unit(&mut self.pc, u, &self.idx.units[u]);
-    }
-
-    fn gain_unit(&mut self, u: usize) -> u64 {
-        debug_assert!(!self.cov.chosen[u]);
-        self.cov
-            .gain_unit(&mut self.pc, &self.idx.units[u], &mut self.tmp)
-    }
-
-    fn failable_within_hits(&self, hits: u16) -> u64 {
-        self.pc.failable_within(hits)
-    }
-
-    fn begin_supply(&mut self, hits: u16) {
-        self.pc.failable_mask_into(hits, &mut self.failable);
-    }
-
-    fn unit_supply(&self, u: usize) -> u64 {
-        self.idx.units[u]
-            .iter()
-            .filter(|&&nd| self.cov.cover[usize::from(nd)] == 0)
-            .map(|&nd| self.pc.and_popcount_row(nd, &self.failable))
-            .sum()
-    }
-
-    fn clear(&mut self) {
-        self.pc.clear();
-        self.cov.reset(self.idx.len(), self.idx.n);
-    }
-}
-
-/// [`DomainBackend`] on the scalar [`FailureCounts`] oracle — the
-/// reference the packed backend is differentially tested against.
-#[derive(Debug)]
-struct ScalarDomainBackend {
-    idx: DomainIndex,
-    fc: FailureCounts,
-    cov: CoverState,
+    /// Hit budget of the prepared supply queries.
     supply_hits: u16,
+    /// Failable-object mask of the prepared supply queries.
+    supply_mask: Vec<u64>,
     tmp: Vec<u16>,
 }
 
-impl ScalarDomainBackend {
+impl<C: NodeCounts> UnitBackend<C> {
     fn new(placement: &Placement, topology: &Topology, s: u16) -> Self {
         let idx = DomainIndex::new(placement, topology);
         let mut cov = CoverState::default();
         cov.reset(idx.len(), idx.n);
         Self {
             idx,
-            fc: FailureCounts::new(placement, s),
+            counts: C::build(placement, s),
             cov,
             supply_hits: 0,
+            supply_mask: Vec::new(),
             tmp: Vec::new(),
         }
     }
-}
 
-impl DomainBackend for ScalarDomainBackend {
-    fn index(&self) -> &DomainIndex {
-        &self.idx
-    }
-
-    fn failed(&self) -> u64 {
-        self.fc.failed()
-    }
-
-    fn chosen(&self, u: usize) -> bool {
-        self.cov.chosen[u]
-    }
-
-    fn chosen_units(&self) -> Vec<u32> {
-        self.cov.chosen_units()
-    }
-
-    fn failed_nodes(&self) -> Vec<u16> {
-        self.cov.failed_nodes()
-    }
-
-    fn fail_unit(&mut self, u: usize) {
-        self.cov.fail_unit(&mut self.fc, u, &self.idx.units[u]);
-    }
-
-    fn unfail_unit(&mut self, u: usize) {
-        self.cov.unfail_unit(&mut self.fc, u, &self.idx.units[u]);
-    }
-
-    fn gain_unit(&mut self, u: usize) -> u64 {
-        debug_assert!(!self.cov.chosen[u]);
-        self.cov
-            .gain_unit(&mut self.fc, &self.idx.units[u], &mut self.tmp)
-    }
-
-    fn failable_within_hits(&self, hits: u16) -> u64 {
-        self.fc.failable_within(hits)
-    }
-
+    /// Prepares [`UnitBackend::unit_supply`] queries at `hits`.
     fn begin_supply(&mut self, hits: u16) {
         self.supply_hits = hits;
+        self.counts.supply_mask(hits, &mut self.supply_mask);
     }
 
+    /// Σ over the unit's uncovered leaves of hosted failable objects.
     fn unit_supply(&self, u: usize) -> u64 {
-        let s = self.fc.threshold();
-        let lo = s.saturating_sub(self.supply_hits);
-        self.idx.units[u]
+        self.idx
+            .leaves(u)
             .iter()
-            .filter(|&&nd| self.cov.cover[usize::from(nd)] == 0)
+            .filter(|&&nd| !self.cov.covered(nd))
             .map(|&nd| {
-                self.fc
-                    .objects_on(nd)
-                    .iter()
-                    .filter(|&&obj| {
-                        let h = self.fc.hit_count(obj as usize);
-                        h >= lo && h < s
-                    })
-                    .count() as u64
+                self.counts
+                    .node_supply(nd, self.supply_hits, &self.supply_mask)
             })
             .sum()
     }
+}
+
+impl<C: NodeCounts> Backend for UnitBackend<C> {
+    fn universe(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn failed(&self) -> u64 {
+        self.counts.failed()
+    }
+
+    fn chosen(&self, u: usize) -> bool {
+        self.cov.is_chosen(u)
+    }
+
+    fn gain(&mut self, u: usize) -> u64 {
+        debug_assert!(!self.cov.is_chosen(u));
+        self.cov
+            .gain_unit(&mut self.counts, self.idx.leaves(u), &mut self.tmp)
+    }
+
+    fn weight(&self, u: usize) -> u64 {
+        self.idx.weights.get(u).copied().unwrap_or(0)
+    }
+
+    fn add(&mut self, u: usize) {
+        self.cov.fail_unit(&mut self.counts, u, self.idx.leaves(u));
+    }
+
+    fn remove(&mut self, u: usize) {
+        self.cov
+            .unfail_unit(&mut self.counts, u, self.idx.leaves(u));
+    }
 
     fn clear(&mut self) {
-        self.fc.clear();
+        self.counts.clear();
         self.cov.reset(self.idx.len(), self.idx.n);
+    }
+
+    fn failable_within(&self, hits: u16) -> u64 {
+        self.counts.failable_within(hits)
+    }
+
+    fn max_hits(&self) -> u16 {
+        self.idx.max_unit_hits
+    }
+
+    fn choice(&self) -> Choice {
+        Choice {
+            failed: self.counts.failed(),
+            nodes: self.cov.failed_nodes(),
+            units: self.cov.chosen_units(),
+        }
     }
 }
 
 /// The admissible hit budget of `m` more unit failures.
-fn hits_budget(remaining: u16, c_max: u16) -> u16 {
+pub(crate) fn hits_budget(remaining: u16, c_max: u16) -> u16 {
     (u32::from(remaining) * u32::from(c_max)).min(u32::from(u16::MAX)) as u16
-}
-
-/// Snapshot of the backend's current choice as a heuristic outcome.
-fn snapshot<B: DomainBackend>(be: &B, exact: bool) -> DomainWorstCase {
-    DomainWorstCase {
-        failed: be.failed(),
-        units: be.chosen_units(),
-        nodes: be.failed_nodes(),
-        exact,
-    }
-}
-
-/// Greedy ascent over units (the unit analogue of the node greedy:
-/// highest gain, then heaviest total load, then lowest id). Leaves the
-/// chosen set in `be`.
-fn greedy_units<B: DomainBackend>(be: &mut B, k: u16) {
-    debug_assert_eq!(be.failed(), 0, "greedy requires an empty set");
-    let u_count = be.index().len();
-    for _ in 0..usize::from(k).min(u_count) {
-        let mut best_unit = None;
-        let mut best_key = (0u64, 0u64);
-        for u in 0..u_count {
-            if be.chosen(u) {
-                continue;
-            }
-            let key = (be.gain_unit(u), be.index().weights[u]);
-            if best_unit.is_none() || key > best_key {
-                best_key = key;
-                best_unit = Some(u);
-            }
-        }
-        be.fail_unit(best_unit.expect("k ≤ units leaves a choice"));
-    }
-}
-
-/// Best-improvement unit swaps until a local optimum (or step cap) —
-/// the unit analogue of the node ladder's climb, same scan orders and
-/// strict-improvement tie-breaks.
-fn climb_units<B: DomainBackend>(be: &mut B, max_steps: u32, all: u64) {
-    let u_count = be.index().len();
-    for _ in 0..max_steps {
-        let current = be.failed();
-        if current == all {
-            return;
-        }
-        let members = be.chosen_units();
-        let mut best: Option<(u32, u32, u64)> = None; // (out, in, value)
-        for &out in &members {
-            be.unfail_unit(out as usize);
-            let base = be.failed();
-            for inn in 0..u_count {
-                if be.chosen(inn) || inn as u32 == out {
-                    continue;
-                }
-                let value = base + be.gain_unit(inn);
-                if value > current && best.is_none_or(|(_, _, v)| value > v) {
-                    best = Some((out, inn as u32, value));
-                }
-            }
-            be.fail_unit(out as usize);
-        }
-        match best {
-            Some((out, inn, _)) => {
-                be.unfail_unit(out as usize);
-                be.fail_unit(inn as usize);
-            }
-            None => return,
-        }
-    }
-}
-
-/// Per-rung decision record of the unit ladder, consumed by the
-/// certificate prover ([`domain_certified_ladder`]).
-#[derive(Debug, Default)]
-struct UnitTrace {
-    /// The greedy seed's outcome before any climbing.
-    greedy: Option<DomainWorstCase>,
-    /// Each climb pass's outcome, in restart order.
-    restarts: Vec<DomainWorstCase>,
-}
-
-/// Greedy seed plus steepest-ascent restarts (the unit analogue of the
-/// node local search, same RNG stream). Expects an empty backend.
-fn local_search_units<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    config: &AdversaryConfig,
-    all: u64,
-) -> DomainWorstCase {
-    local_search_units_traced(be, k, config, all, &mut UnitTrace::default())
-}
-
-/// [`local_search_units`] recording the per-rung decision trace. This
-/// *is* the implementation — the untraced entry point passes a
-/// discarded trace — so certified and uncertified ladders cannot drift.
-fn local_search_units_traced<B: DomainBackend>(
-    be: &mut B,
-    k: u16,
-    config: &AdversaryConfig,
-    all: u64,
-    trace: &mut UnitTrace,
-) -> DomainWorstCase {
-    let u_count = be.index().len();
-    if usize::from(k) >= u_count {
-        for u in 0..u_count {
-            be.fail_unit(u);
-        }
-        return snapshot(be, false);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    greedy_units(be, k);
-    let mut overall = snapshot(be, false);
-    trace.greedy = Some(overall.clone());
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            be.clear();
-            let mut perm: Vec<u32> = (0..u_count as u32).collect();
-            perm.shuffle(&mut rng);
-            for &u in perm.iter().take(usize::from(k)) {
-                be.fail_unit(u as usize);
-            }
-        }
-        climb_units(be, config.max_steps, all);
-        let snap = snapshot(be, false);
-        if snap.failed > overall.failed {
-            overall = snap.clone();
-        }
-        trace.restarts.push(snap);
-        if overall.failed == all {
-            break;
-        }
-    }
-    overall
 }
 
 /// Branch-and-bound DFS over unit subsets (the unit analogue of the
@@ -599,23 +395,23 @@ fn local_search_units_traced<B: DomainBackend>(
 /// closed-form last level). Returns `None` on budget exhaustion;
 /// `best_units` is empty when no subset beat the incumbent. Expects an
 /// empty backend.
-fn exact_units<B: DomainBackend>(
-    be: &mut B,
+fn exact_units<C: NodeCounts>(
+    be: &mut UnitBackend<C>,
     k: u16,
     budget: u64,
     incumbent: u64,
     all: u64,
 ) -> Option<(u64, Vec<u32>)> {
-    let u_count = be.index().len();
+    let u_count = be.universe();
     if usize::from(k) >= u_count {
         for u in 0..u_count {
-            be.fail_unit(u);
+            be.add(u);
         }
-        return Some((be.failed(), be.chosen_units()));
+        return Some((be.failed(), be.cov.chosen_units()));
     }
     let mut order: Vec<u32> = (0..u_count as u32).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(be.index().weights[u as usize]));
-    let c_max = be.index().max_unit_hits;
+    order.sort_by_key(|&u| std::cmp::Reverse(be.weight(u as usize)));
+    let c_max = be.idx.max_unit_hits;
     let mut search = DomainSearch {
         be,
         k,
@@ -636,8 +432,8 @@ fn exact_units<B: DomainBackend>(
     }
 }
 
-struct DomainSearch<'a, B: DomainBackend> {
-    be: &'a mut B,
+struct DomainSearch<'a, C> {
+    be: &'a mut UnitBackend<C>,
     k: u16,
     best: u64,
     best_units: Vec<u32>,
@@ -650,14 +446,14 @@ struct DomainSearch<'a, B: DomainBackend> {
     tops: Vec<u64>,
 }
 
-impl<B: DomainBackend> DomainSearch<'_, B> {
+impl<C: NodeCounts> DomainSearch<'_, C> {
     /// Returns `false` on budget exhaustion.
     fn dfs(&mut self, cands: &[u32], depth: u16) -> bool {
         if depth == self.k {
             // Only reachable for k = 0; positive k closes below.
             if self.be.failed() > self.best {
                 self.best = self.be.failed();
-                self.best_units = self.be.chosen_units();
+                self.best_units = self.be.cov.chosen_units();
             }
             return true;
         }
@@ -672,10 +468,10 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
                 if self.expansions > self.budget {
                     return false;
                 }
-                let total = failed + self.be.gain_unit(u as usize);
+                let total = failed + self.be.gain(u as usize);
                 if total > self.best {
                     self.best = total;
-                    self.best_units = self.be.chosen_units();
+                    self.best_units = self.be.cov.chosen_units();
                     self.best_units.push(u);
                     self.best_units.sort_unstable();
                 }
@@ -683,7 +479,7 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
             return true;
         }
         let hits = hits_budget(remaining, self.c_max);
-        let bound = failed + self.be.failable_within_hits(hits);
+        let bound = failed + self.be.failable_within(hits);
         if bound <= self.best || self.best >= self.all {
             return true;
         }
@@ -693,10 +489,15 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
             if failed + supply <= self.best {
                 return true;
             }
-            let mut buf = std::mem::take(&mut self.sort_bufs[usize::from(depth)]);
+            let Some(slot) = self.sort_bufs.get_mut(usize::from(depth)) else {
+                return self.expand(cands, depth, remaining);
+            };
+            let mut buf = std::mem::take(slot);
             self.order_by_live_gain(cands, &mut buf);
             let ok = self.expand(&buf, depth, remaining);
-            self.sort_bufs[usize::from(depth)] = buf;
+            if let Some(slot) = self.sort_bufs.get_mut(usize::from(depth)) {
+                *slot = buf;
+            }
             ok
         } else {
             self.expand(cands, depth, remaining)
@@ -710,9 +511,9 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
             if self.expansions > self.budget {
                 return false;
             }
-            self.be.fail_unit(u as usize);
-            let ok = self.dfs(&cands[pos + 1..], depth + 1);
-            self.be.unfail_unit(u as usize);
+            self.be.add(u as usize);
+            let ok = self.dfs(cands.get(pos + 1..).unwrap_or(&[]), depth + 1);
+            self.be.remove(u as usize);
             if !ok {
                 return false;
             }
@@ -725,9 +526,8 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
     fn order_by_live_gain(&mut self, cands: &[u32], buf: &mut Vec<u32>) {
         self.keys.clear();
         for &u in cands {
-            let gain = self.be.gain_unit(u as usize);
-            self.keys
-                .push((gain, self.be.index().weights[u as usize], u));
+            let gain = self.be.gain(u as usize);
+            self.keys.push((gain, self.be.weight(u as usize), u));
         }
         self.keys.sort_unstable_by(|a, b| b.cmp(a));
         buf.clear();
@@ -757,42 +557,131 @@ impl<B: DomainBackend> DomainSearch<'_, B> {
     }
 }
 
-/// Runs the full auto ladder (local search seeding exact
-/// branch-and-bound) on one backend.
-fn ladder<B: DomainBackend>(
-    be: &mut B,
+/// The unit-budget rungs: the shared heuristic rungs and the unit
+/// branch-and-bound, all on one [`UnitBackend`].
+struct UnitRungs<'a, C> {
+    be: UnitBackend<C>,
     k: u16,
-    config: &AdversaryConfig,
+    config: &'a AdversaryConfig,
     all: u64,
-) -> DomainWorstCase {
-    let heuristic = local_search_units(be, k, config, all);
-    be.clear();
-    match exact_units(be, k, config.exact_budget, heuristic.failed, all) {
-        Some((failed, units)) if failed > heuristic.failed => {
-            let nodes = be.index().nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
+}
+
+impl<C: NodeCounts> Rungs for UnitRungs<'_, C> {
+    fn universe(&self) -> usize {
+        self.be.universe()
+    }
+
+    fn everything(&mut self) -> Choice {
+        self.be.clear();
+        for u in 0..self.be.universe() {
+            self.be.add(u);
         }
-        Some(_) => DomainWorstCase {
-            exact: true,
-            ..heuristic
-        },
-        None => heuristic,
+        self.be.choice()
+    }
+
+    fn heuristic(&mut self, trace: &mut LadderTrace) -> Choice {
+        search::local_search(&mut self.be, self.k, self.config, self.all, trace)
+    }
+
+    fn exact(&mut self, incumbent: u64) -> Option<Choice> {
+        self.be.clear();
+        let budget = self.config.exact_budget;
+        let (failed, units) = exact_units(&mut self.be, self.k, budget, incumbent, self.all)?;
+        let nodes = self.be.idx.nodes_of(&units);
+        Some(Choice {
+            failed,
+            nodes,
+            units,
+        })
+    }
+
+    fn ledger(&mut self) -> Vec<LedgerEntry> {
+        certify::ledger(&mut self.be, self.k)
     }
 }
 
-fn check_shape(placement: &Placement, topology: &Topology, s: u16, k: u16) -> usize {
+fn check_shape(placement: &Placement, topology: &Topology, s: u16, k: u16) {
     let units = topology.failure_units().len();
     assert!(
         usize::from(k) <= units,
         "k must be ≤ the number of failure units ({units})"
     );
     assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    units
+}
+
+/// The full unit ladder behind [`crate::Ladder::run_domain`] on the
+/// per-node backend `C`, through the one ladder driver, with its
+/// certificate when `certified`. The certificate's rung witnesses carry
+/// both the chosen unit ids and their leaf union; the verifier needs the
+/// same [`Topology`] to re-check them.
+pub(crate) fn unit_ladder<C: NodeCounts>(
+    placement: &Placement,
+    topology: &Topology,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    certified: bool,
+) -> (DomainWorstCase, Option<Certificate>) {
+    check_shape(placement, topology, s, k);
+    let cert =
+        certified.then(|| certify::base_certificate(placement, CertificateKind::Domain, s, k));
+    let mut rungs = UnitRungs {
+        be: UnitBackend::<C>::new(placement, topology, s),
+        k,
+        config,
+        all: placement.num_objects() as u64,
+    };
+    let (choice, exact, cert) = drive(&mut rungs, k, cert);
+    (DomainWorstCase::from_choice(choice, exact), cert)
+}
+
+/// The greedy rung on unit backend `C`.
+fn unit_greedy<C: NodeCounts>(
+    placement: &Placement,
+    topology: &Topology,
+    s: u16,
+    k: u16,
+) -> DomainWorstCase {
+    check_shape(placement, topology, s, k);
+    let mut be = UnitBackend::<C>::new(placement, topology, s);
+    search::greedy(&mut be, k);
+    DomainWorstCase::from_choice(be.choice(), false)
+}
+
+/// The local-search rung on unit backend `C`.
+fn unit_local_search<C: NodeCounts>(
+    placement: &Placement,
+    topology: &Topology,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+) -> DomainWorstCase {
+    check_shape(placement, topology, s, k);
+    let mut be = UnitBackend::<C>::new(placement, topology, s);
+    let all = placement.num_objects() as u64;
+    let choice = search::local_search(&mut be, k, config, all, &mut LadderTrace::default());
+    DomainWorstCase::from_choice(choice, false)
+}
+
+/// The exact rung on unit backend `C`.
+fn unit_exact<C: NodeCounts>(
+    placement: &Placement,
+    topology: &Topology,
+    s: u16,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+) -> Option<DomainWorstCase> {
+    check_shape(placement, topology, s, k);
+    let mut be = UnitBackend::<C>::new(placement, topology, s);
+    let all = placement.num_objects() as u64;
+    let (failed, units) = exact_units(&mut be, k, budget, incumbent, all)?;
+    Some(DomainWorstCase {
+        failed,
+        nodes: be.idx.nodes_of(&units),
+        units,
+        exact: true,
+    })
 }
 
 /// Greedy domain adversary: repeatedly fails the unit killing the most
@@ -809,10 +698,7 @@ pub fn domain_greedy_worst(
     s: u16,
     k: u16,
 ) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    greedy_units(&mut be, k);
-    snapshot(&be, false)
+    unit_greedy::<PackedCounts>(placement, topology, s, k)
 }
 
 /// Steepest-ascent unit swap search with seeded restarts.
@@ -828,9 +714,7 @@ pub fn domain_local_search_worst(
     k: u16,
     config: &AdversaryConfig,
 ) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    local_search_units(&mut be, k, config, placement.num_objects() as u64)
+    unit_local_search::<PackedCounts>(placement, topology, s, k, config)
 }
 
 /// Exact worst case over all `k`-subsets of failure units, or `None`
@@ -850,237 +734,19 @@ pub fn domain_exact_worst(
     budget: u64,
     incumbent: u64,
 ) -> Option<DomainWorstCase> {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    let all = placement.num_objects() as u64;
-    exact_units(&mut be, k, budget, incumbent, all).map(|(failed, units)| {
-        let nodes = be.index().nodes_of(&units);
-        DomainWorstCase {
-            failed,
-            units,
-            nodes,
-            exact: true,
-        }
-    })
+    unit_exact::<PackedCounts>(placement, topology, s, k, budget, incumbent)
 }
 
-/// Legacy spelling of
-/// `Ladder::new(config).run_domain(placement, topology, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).run_domain(placement, topology, s, k)`"
-)]
-#[must_use]
-pub fn domain_worst_case_failures(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> DomainWorstCase {
-    domain_auto_ladder(placement, topology, s, k, config)
-}
-
-/// Auto domain adversary behind `Ladder::run_domain`: exact
-/// branch-and-bound seeded by local search when it completes within
-/// budget, the heuristic otherwise — the domain analogue of the node
-/// auto ladder. On a flat topology the result is bit-for-bit the node
-/// adversary's.
-///
-/// # Panics
-///
-/// As for [`domain_greedy_worst`].
-pub(crate) fn domain_auto_ladder(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> DomainWorstCase {
-    check_shape(placement, topology, s, k);
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    ladder(&mut be, k, config, placement.num_objects() as u64)
-}
-
-/// The exact rung's post-hoc bound ledger over failure units: one
-/// admissible bound per root child of the branch-and-bound tree, in the
-/// canonical `(gain, weight, unit)` descending root order (the order
-/// `DomainSearch::order_by_live_gain` derives at the empty set),
-/// covering the `units − k + 1` children the root frame expands. The
-/// bound generalizes the node ledger's: after failing the root unit,
-/// the remaining `k − 1` units add at most `c_max` hits each per
-/// object.
-fn unit_ledger<B: DomainBackend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
-    let u_count = be.index().len();
-    debug_assert!(k >= 1 && usize::from(k) < u_count);
-    be.clear();
-    let c_max = be.index().max_unit_hits;
-    let hits = hits_budget(k - 1, c_max);
-    let mut keys: Vec<(u64, u64, u32)> = Vec::with_capacity(u_count);
-    for u in 0..u_count {
-        let gain = be.gain_unit(u);
-        keys.push((gain, be.index().weights[u], u as u32));
-    }
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let roots = u_count - usize::from(k) + 1;
-    let mut ledger = Vec::with_capacity(roots);
-    for &(_, _, u) in keys.iter().take(roots) {
-        be.fail_unit(u as usize);
-        let bound = be.failed() + be.failable_within_hits(hits);
-        be.unfail_unit(u as usize);
-        ledger.push(LedgerEntry { root: u, bound });
-    }
-    ledger
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).certified().run_domain(placement, topology, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).certified().run_domain(placement, topology, s, k)`"
-)]
-#[must_use]
-pub fn domain_worst_case_certified(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> (DomainWorstCase, Certificate) {
-    domain_certified_ladder(placement, topology, s, k, config)
-}
-
-/// [`domain_auto_ladder`] plus its availability certificate — the
-/// domain analogue of the certified node ladder, behind
-/// `Ladder::certified().run_domain(…)`. The returned
-/// [`DomainWorstCase`] is identical to the uncertified entry point's for
-/// the same inputs (the ladder is shared, not mirrored). The
-/// certificate's rung witnesses carry both the chosen unit ids and
-/// their leaf union; the verifier needs the same [`Topology`] to
-/// re-check them.
-///
-/// # Panics
-///
-/// As for [`domain_greedy_worst`].
-pub(crate) fn domain_certified_ladder(
-    placement: &Placement,
-    topology: &Topology,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> (DomainWorstCase, Certificate) {
-    let units = check_shape(placement, topology, s, k);
-    let all = placement.num_objects() as u64;
-    let mut be = PackedDomainBackend::new(placement, topology, s);
-    let mut cert = Certificate {
-        kind: CertificateKind::Domain,
-        n: placement.num_nodes(),
-        b: all,
-        r: placement.replicas_per_object(),
-        s,
-        k,
-        placement: wcp_core::placement_digest(placement),
-        rungs: Vec::new(),
-        ledger: Vec::new(),
-        claimed_failed: 0,
-        exact: false,
-    };
-    if k == 0 || usize::from(k) >= units {
-        // Degenerate budgets need no search: k = 0 fails nothing,
-        // k ≥ units fails every unit. One exact rung, no ledger.
-        let wc = if k == 0 {
-            DomainWorstCase {
-                failed: 0,
-                units: Vec::new(),
-                nodes: Vec::new(),
-                exact: true,
-            }
-        } else {
-            for u in 0..units {
-                be.fail_unit(u);
-            }
-            snapshot(&be, true)
-        };
-        cert.rungs.push(Rung {
-            kind: RungKind::Exact,
-            failed: wc.failed,
-            witness: wc.nodes.clone(),
-            units: wc.units.clone(),
-            trace: 0,
-        });
-        cert.claimed_failed = wc.failed;
-        cert.exact = true;
-        return (wc, cert);
-    }
-    let mut trace = UnitTrace::default();
-    let heuristic = local_search_units_traced(&mut be, k, config, all, &mut trace);
-    be.clear();
-    let exact_result = exact_units(&mut be, k, config.exact_budget, heuristic.failed, all);
-    if let Some(greedy) = trace.greedy.take() {
-        let entry = [(greedy.failed, greedy.nodes.clone())];
-        cert.rungs.push(Rung {
-            kind: RungKind::Greedy,
-            failed: greedy.failed,
-            witness: greedy.nodes,
-            units: greedy.units,
-            trace: trace_hash(&entry),
-        });
-    }
-    let restart_entries: Vec<(u64, Vec<u16>)> = trace
-        .restarts
-        .iter()
-        .map(|snap| (snap.failed, snap.nodes.clone()))
-        .collect();
-    cert.rungs.push(Rung {
-        kind: RungKind::LocalSearch,
-        failed: heuristic.failed,
-        witness: heuristic.nodes.clone(),
-        units: heuristic.units.clone(),
-        trace: trace_hash(&restart_entries),
-    });
-    let result = match exact_result {
-        Some((failed, units)) if failed > heuristic.failed => {
-            let nodes = be.index().nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
-        }
-        Some(_) => DomainWorstCase {
-            exact: true,
-            ..heuristic
-        },
-        None => heuristic,
-    };
-    if result.exact {
-        cert.rungs.push(Rung {
-            kind: RungKind::Exact,
-            failed: result.failed,
-            witness: result.nodes.clone(),
-            units: result.units.clone(),
-            trace: 0,
-        });
-        cert.ledger = unit_ledger(&mut be, k);
-    }
-    cert.claimed_failed = result.failed;
-    cert.exact = result.exact;
-    (result, cert)
-}
-
-/// The scalar reference ladder over failure units: identical decisions
-/// to the packed entry points, running on [`FailureCounts`] — the
-/// oracle side of `tests/domain_differential.rs`.
+/// The scalar reference ladder over failure units: the same rungs and
+/// driver as the packed entry points, on the [`FailureCounts`] oracle —
+/// the oracle side of `tests/domain_differential.rs`.
 pub mod scalar {
-    use super::{
-        check_shape, exact_units, greedy_units, ladder, local_search_units, snapshot,
-        DomainWorstCase, ScalarDomainBackend,
-    };
+    use super::{unit_exact, unit_greedy, unit_ladder, unit_local_search, DomainWorstCase};
+    use crate::counts::FailureCounts;
     use crate::AdversaryConfig;
     use wcp_core::{Placement, Topology};
 
-    /// Scalar mirror of [`super::domain_greedy_worst`].
+    /// Scalar twin of [`super::domain_greedy_worst`].
     #[must_use]
     pub fn domain_greedy_worst(
         placement: &Placement,
@@ -1088,13 +754,10 @@ pub mod scalar {
         s: u16,
         k: u16,
     ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        greedy_units(&mut be, k);
-        snapshot(&be, false)
+        unit_greedy::<FailureCounts>(placement, topology, s, k)
     }
 
-    /// Scalar mirror of [`super::domain_local_search_worst`].
+    /// Scalar twin of [`super::domain_local_search_worst`].
     #[must_use]
     pub fn domain_local_search_worst(
         placement: &Placement,
@@ -1103,12 +766,10 @@ pub mod scalar {
         k: u16,
         config: &AdversaryConfig,
     ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        local_search_units(&mut be, k, config, placement.num_objects() as u64)
+        unit_local_search::<FailureCounts>(placement, topology, s, k, config)
     }
 
-    /// Scalar mirror of [`super::domain_exact_worst`].
+    /// Scalar twin of [`super::domain_exact_worst`].
     #[must_use]
     pub fn domain_exact_worst(
         placement: &Placement,
@@ -1118,21 +779,10 @@ pub mod scalar {
         budget: u64,
         incumbent: u64,
     ) -> Option<DomainWorstCase> {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        let all = placement.num_objects() as u64;
-        exact_units(&mut be, k, budget, incumbent, all).map(|(failed, units)| {
-            let nodes = be.idx.nodes_of(&units);
-            DomainWorstCase {
-                failed,
-                units,
-                nodes,
-                exact: true,
-            }
-        })
+        unit_exact::<FailureCounts>(placement, topology, s, k, budget, incumbent)
     }
 
-    /// Scalar mirror of the packed domain ladder behind
+    /// Scalar twin of the packed domain ladder behind
     /// [`crate::Ladder::run_domain`].
     #[must_use]
     pub fn domain_worst_case_failures(
@@ -1142,9 +792,7 @@ pub mod scalar {
         k: u16,
         config: &AdversaryConfig,
     ) -> DomainWorstCase {
-        check_shape(placement, topology, s, k);
-        let mut be = ScalarDomainBackend::new(placement, topology, s);
-        ladder(&mut be, k, config, placement.num_objects() as u64)
+        unit_ladder::<FailureCounts>(placement, topology, s, k, config, false).0
     }
 }
 
@@ -1221,6 +869,17 @@ mod tests {
     use wcp_combin::KSubsets;
     use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
+    /// The uncertified unit ladder.
+    fn run_domain(
+        p: &Placement,
+        topo: &Topology,
+        s: u16,
+        k: u16,
+        config: &AdversaryConfig,
+    ) -> DomainWorstCase {
+        crate::Ladder::new(config).run_domain(p, topo, s, k).worst
+    }
+
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
         let params = SystemParams::new(n, b, r, 1, 1).unwrap();
         RandomStrategy::new(seed, RandomVariant::LoadBalanced)
@@ -1255,7 +914,7 @@ mod tests {
             let p = random_placement(12, 30, 3, seed);
             let topo = Topology::split(12, &[4]).unwrap();
             for (s, k) in [(1u16, 2u16), (2, 2), (2, 3), (3, 3)] {
-                let wc = domain_auto_ladder(&p, &topo, s, k, &AdversaryConfig::default());
+                let wc = run_domain(&p, &topo, s, k, &AdversaryConfig::default());
                 assert!(wc.exact, "seed={seed} s={s} k={k}");
                 assert_eq!(
                     wc.failed,
@@ -1276,7 +935,7 @@ mod tests {
         let cfg = AdversaryConfig::default();
         for (s, k) in [(1u16, 2u16), (2, 3)] {
             let node = crate::Ladder::new(&cfg).run(&p, s, k).worst;
-            let domain = domain_auto_ladder(&p, &topo, s, k, &cfg);
+            let domain = run_domain(&p, &topo, s, k, &cfg);
             assert!(
                 domain.failed >= node.failed,
                 "s={s} k={k}: domain {} < node {}",
@@ -1297,7 +956,7 @@ mod tests {
         let rack_only = failed_by_units(&p, &topo, &[6], 1);
         assert_eq!(both, rack_only);
         // And the exact search at k = 2 is at least the single rack.
-        let wc = domain_auto_ladder(&p, &topo, 1, 2, &AdversaryConfig::default());
+        let wc = run_domain(&p, &topo, 1, 2, &AdversaryConfig::default());
         assert!(wc.failed >= rack_only);
     }
 
@@ -1306,7 +965,7 @@ mod tests {
         let p = random_placement(6, 12, 2, 1);
         let topo = Topology::split(6, &[3]).unwrap();
         let units = topo.failure_units().len() as u16;
-        let wc = domain_auto_ladder(&p, &topo, 1, units, &AdversaryConfig::default());
+        let wc = run_domain(&p, &topo, 1, units, &AdversaryConfig::default());
         assert_eq!(wc.failed, 12);
         assert_eq!(wc.nodes, (0..6).collect::<Vec<u16>>());
     }
@@ -1335,7 +994,7 @@ mod tests {
             exact_budget: 4,
             ..AdversaryConfig::default()
         };
-        let wc = domain_auto_ladder(&p, &topo, 2, 4, &tight);
+        let wc = run_domain(&p, &topo, 2, 4, &tight);
         assert!(!wc.exact);
         assert_eq!(p.failed_objects(&wc.nodes, 2), wc.failed);
     }
@@ -1347,7 +1006,7 @@ mod tests {
         let topo = Topology::split(12, &[4]).unwrap();
         let outcome = DomainAttacker::new(topo.clone()).attack(&p, 2, 2);
         assert_eq!(p.failed_objects(&outcome.nodes, 2), outcome.failed);
-        let wc = domain_auto_ladder(&p, &topo, 2, 2, &AdversaryConfig::default());
+        let wc = run_domain(&p, &topo, 2, 2, &AdversaryConfig::default());
         assert_eq!(outcome.failed, wc.failed);
         assert_eq!(outcome.nodes, wc.nodes);
     }

@@ -11,25 +11,22 @@
 //! the sub-threshold histogram and the maintained gain table all live
 //! per class, weighted by class size.
 //!
-//! Decision-making is *identical* to the packed ladder (same scan
-//! orders, same strict-improvement tie-breaks, same RNG stream): a
-//! node's gain is the weighted sum of its classes at `hits = s − 1`,
-//! which equals the packed popcount over objects bit for bit, so the
-//! greedy and local-search rungs return the same [`WorstCase`] — and
-//! record the same [`LadderTrace`] — from either backend. The
-//! differential suite pins this against both [`crate::PackedCounts`]
-//! and the scalar [`crate::FailureCounts`] oracle.
+//! [`HistClimb`] plugs the classes into the one heuristic ladder of
+//! [`crate::search`]: a node's gain is the weighted sum of its classes
+//! at `hits = s − 1`, which equals the packed popcount over objects bit
+//! for bit, so the greedy and local-search rungs return the same
+//! [`crate::WorstCase`] — and record the same trace — on either backend.
+//! Only the climb's swap scan is this backend's own, a weighted twin of
+//! the packed delta-corrected scan. The differential suite pins the
+//! answers against both [`crate::PackedCounts`] and the scalar
+//! [`crate::FailureCounts`] oracle.
 //!
-//! The auto ladder routes its heuristic rungs here when `b` exceeds
+//! The node ladder routes its heuristic rungs here when `b` reaches
 //! [`crate::AdversaryConfig::hist_threshold`]; the exact rung always
 //! falls back to the packed planes (its branch-and-bound needs the
 //! per-object masks for admissible bounds and witnesses).
 
-use crate::search::LadderTrace;
-use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use crate::search::{Backend, Choice};
 use wcp_core::Placement;
 
 /// Weighted-class failure accounting: the histogram backend's analogue
@@ -62,7 +59,7 @@ pub(crate) struct HistogramCounts {
     in_set: Vec<bool>,
     /// Maintained gain table: `gains[nd]` = weighted count of `nd`'s
     /// classes at `hits = s − 1` — the histogram twin of the packed
-    /// ladder's delta-maintained [`crate::search::ClimbScratch`] gains.
+    /// ladder's delta-maintained gain table.
     gains: Vec<i64>,
     /// Reusable sort buffer for class construction.
     sort_idx: Vec<u32>,
@@ -199,6 +196,15 @@ impl HistogramCounts {
         self.failed
     }
 
+    /// Weighted objects within `m` more hits of failing: the histogram
+    /// buckets `s − m .. s`.
+    fn failable_within(&self, m: u16) -> u64 {
+        self.hist
+            .iter()
+            .skip(usize::from(self.s.saturating_sub(m)))
+            .sum()
+    }
+
     /// Number of distinct replica-set classes (the compression ratio's
     /// denominator — bounded by `C(n, r)` independent of `b`).
     #[cfg(test)]
@@ -264,68 +270,17 @@ impl HistogramCounts {
     /// exactly what the packed ladder's `fold_eq_flips` does per object.
     pub(crate) fn add_node(&mut self, node: u16) {
         debug_assert!(!self.contains(node), "node already failed");
-        let Self {
-            s,
-            r,
-            hits,
-            weight,
-            class_nodes,
-            csr_off,
-            csr_cls,
-            gains,
-            hist,
-            in_set,
-            failed,
-            ..
-        } = self;
-        let s = usize::from(*s);
-        let stride = usize::from(*r);
-        if let Some(slot) = in_set.get_mut(usize::from(node)) {
-            *slot = true;
-        }
-        let i = usize::from(node);
-        let lo = csr_off.get(i).copied().unwrap_or(0) as usize;
-        let hi = csr_off.get(i + 1).copied().unwrap_or(0) as usize;
-        let row: &[u32] = csr_cls.get(lo..hi).unwrap_or(&[]);
-        for &c in row {
-            let c = c as usize;
-            let w = weight.get(c).copied().unwrap_or(0);
-            let Some(h_slot) = hits.get_mut(c) else {
-                continue;
-            };
-            let h = usize::from(*h_slot);
-            *h_slot += 1;
-            if h < s {
-                if let Some(bucket) = hist.get_mut(h) {
-                    *bucket -= w;
-                }
-                if h + 1 < s {
-                    if let Some(bucket) = hist.get_mut(h + 1) {
-                        *bucket += w;
-                    }
-                } else {
-                    *failed += w;
-                }
-            }
-            let d: i64 = if h + 1 == s {
-                -(w as i64) // left the gain set (now at s hits)
-            } else if h + 2 == s {
-                w as i64 // entered the gain set (now at s − 1 hits)
-            } else {
-                continue;
-            };
-            let hosts = class_nodes.get(c * stride..(c + 1) * stride).unwrap_or(&[]);
-            for &nd2 in hosts {
-                if let Some(g) = gains.get_mut(usize::from(nd2)) {
-                    *g += d;
-                }
-            }
-        }
+        self.update::<true>(node);
     }
 
     /// Unmarks `node` (the exact inverse of [`HistogramCounts::add_node`]).
     pub(crate) fn remove_node(&mut self, node: u16) {
         debug_assert!(self.contains(node), "node not failed");
+        self.update::<false>(node);
+    }
+
+    /// One hit more (`ADD`) or less on each of `node`'s classes.
+    fn update<const ADD: bool>(&mut self, node: u16) {
         let Self {
             s,
             r,
@@ -343,7 +298,7 @@ impl HistogramCounts {
         let s = usize::from(*s);
         let stride = usize::from(*r);
         if let Some(slot) = in_set.get_mut(usize::from(node)) {
-            *slot = false;
+            *slot = ADD;
         }
         let i = usize::from(node);
         let lo = csr_off.get(i).copied().unwrap_or(0) as usize;
@@ -355,27 +310,43 @@ impl HistogramCounts {
             let Some(h_slot) = hits.get_mut(c) else {
                 continue;
             };
-            *h_slot -= 1;
-            let h = usize::from(*h_slot);
-            if h < s {
-                if h + 1 < s {
-                    if let Some(bucket) = hist.get_mut(h + 1) {
-                        *bucket -= w;
+            // The class moves between `low` and `low + 1` hits.
+            let low = if ADD {
+                *h_slot += 1;
+                usize::from(*h_slot) - 1
+            } else {
+                *h_slot -= 1;
+                usize::from(*h_slot)
+            };
+            if low < s {
+                // Bucket `s` is the failed count.
+                let (from, to) = if ADD { (low, low + 1) } else { (low + 1, low) };
+                for (bucket, up) in [(from, false), (to, true)] {
+                    let slot = if bucket == s {
+                        Some(&mut *failed)
+                    } else {
+                        hist.get_mut(bucket)
+                    };
+                    if let Some(v) = slot {
+                        if up {
+                            *v += w;
+                        } else {
+                            *v -= w;
+                        }
                     }
-                } else {
-                    *failed -= w;
-                }
-                if let Some(bucket) = hist.get_mut(h) {
-                    *bucket += w;
                 }
             }
-            let d: i64 = if h + 1 == s {
-                w as i64 // re-entered the gain set (back to s − 1 hits)
-            } else if h + 2 == s {
-                -(w as i64) // left the gain set (down to s − 2 hits)
+            // Adding crosses `s − 1 → s` (leaving the gain set, which
+            // is `s − 1` hits) or `s − 2 → s − 1` (entering it);
+            // removing reverses either crossing.
+            let on_add: i64 = if low + 1 == s {
+                -(w as i64)
+            } else if low + 2 == s {
+                w as i64
             } else {
                 continue;
             };
+            let d = if ADD { on_add } else { -on_add };
             let hosts = class_nodes.get(c * stride..(c + 1) * stride).unwrap_or(&[]);
             for &nd2 in hosts {
                 if let Some(g) = gains.get_mut(usize::from(nd2)) {
@@ -429,79 +400,63 @@ pub(crate) struct HistClimbScratch {
     delta: Vec<i64>,
     /// Members buffer for the climb's swap scan.
     members: Vec<u16>,
-    /// Shuffle buffer for random restarts.
-    perm: Vec<u16>,
 }
 
-/// Greedy ascent on the histogram backend — decision-identical to
-/// [`crate::search`]'s `greedy_into`: same ascending candidate scan,
-/// same `(gain, load)` key, same strict-improvement tie-break.
-pub(crate) fn greedy_hist_into(hc: &mut HistogramCounts, k: u16) -> WorstCase {
-    let n = hc.num_nodes();
-    for _ in 0..k.min(n) {
-        let mut best_node = None;
-        let mut best_key = (0u64, 0u32);
-        for nd in 0..n {
-            if hc.contains(nd) {
-                continue;
-            }
-            let key = (hc.gain(nd), hc.load(nd));
-            if best_node.is_none() || key > best_key {
-                best_key = key;
-                best_node = Some(nd);
-            }
-        }
-        let Some(nd) = best_node else {
-            break; // unreachable for k ≤ n, but a stop beats a panic
-        };
-        hc.add_node(nd);
-    }
-    WorstCase {
-        failed: hc.failed(),
-        nodes: hc.nodes(),
-        exact: false,
-    }
+/// The histogram classes as a [`Backend`] of the heuristic rungs.
+pub(crate) struct HistClimb<'a> {
+    pub hc: &'a mut HistogramCounts,
+    pub hs: &'a mut HistClimbScratch,
 }
 
-/// Seeds a random `k`-set into an *empty* backend, consuming the RNG
-/// stream exactly like the packed `seed_random_set` (one shuffle of the
-/// same-length permutation), so restart trajectories agree.
-pub(crate) fn seed_random_hist(
-    hc: &mut HistogramCounts,
-    hs: &mut HistClimbScratch,
-    k: u16,
-    rng: &mut StdRng,
-) {
-    hs.perm.clear();
-    hs.perm.extend(0..hc.num_nodes());
-    hs.perm.shuffle(rng);
-    for i in 0..usize::from(k) {
-        let Some(&nd) = hs.perm.get(i) else {
-            break;
-        };
-        hc.add_node(nd);
+impl Backend for HistClimb<'_> {
+    fn universe(&self) -> usize {
+        usize::from(self.hc.num_nodes())
     }
-}
 
-/// Best-improvement swap climb on the histogram backend, mirroring the
-/// packed [`crate::search`] `climb` decision for decision: per member
-/// `out`, one row walk yields the loss and all candidate corrections,
-/// then the ascending candidate scan keeps the best strictly improving
-/// `(out, in, value)` across all `out`s.
-pub(crate) fn climb_hist(
-    hc: &mut HistogramCounts,
-    hs: &mut HistClimbScratch,
-    max_steps: u32,
-    all: u64,
-) {
-    let n = usize::from(hc.num_nodes());
-    hs.delta.clear();
-    hs.delta.resize(n, 0);
-    for _ in 0..max_steps {
-        let current = hc.failed();
-        if current == all {
-            return;
-        }
+    fn failed(&self) -> u64 {
+        self.hc.failed()
+    }
+
+    fn chosen(&self, x: usize) -> bool {
+        self.hc.contains(x as u16)
+    }
+
+    fn gain(&mut self, x: usize) -> u64 {
+        self.hc.gain(x as u16)
+    }
+
+    fn weight(&self, x: usize) -> u64 {
+        u64::from(self.hc.load(x as u16))
+    }
+
+    fn add(&mut self, x: usize) {
+        self.hc.add_node(x as u16);
+    }
+
+    fn remove(&mut self, x: usize) {
+        self.hc.remove_node(x as u16);
+    }
+
+    fn clear(&mut self) {
+        self.hc.clear();
+    }
+
+    fn failable_within(&self, hits: u16) -> u64 {
+        self.hc.failable_within(hits)
+    }
+
+    fn choice(&self) -> Choice {
+        Choice::of_nodes(self.hc.failed(), self.hc.nodes())
+    }
+
+    /// The packed scan's weighted twin: per member `out`, one row walk
+    /// yields the loss and all candidate corrections, then the
+    /// ascending candidate scan keeps the best strictly improving
+    /// `(out, in, value)` across all `out`s.
+    fn best_swap(&mut self, current: u64) -> Option<(usize, usize, u64)> {
+        let (hc, hs) = (&*self.hc, &mut *self.hs);
+        hs.delta.clear();
+        hs.delta.resize(usize::from(hc.num_nodes()), 0);
         hc.collect_nodes(&mut hs.members);
         let mut best: Option<(u16, u16, u64)> = None;
         for idx in 0..hs.members.len() {
@@ -525,57 +480,15 @@ pub(crate) fn climb_hist(
             }
             hs.delta.fill(0);
         }
-        let Some((out, inn, value)) = best else {
-            return; // local optimum
-        };
-        hc.remove_node(out);
-        hc.add_node(inn);
-        debug_assert_eq!(hc.failed(), value, "histogram swap value drifted");
+        best.map(|(out, inn, value)| (usize::from(out), usize::from(inn), value))
     }
-}
-
-/// The histogram ladder: greedy seed plus multi-restart swap search,
-/// decision-identical to the packed `local_search_worst_traced` (the
-/// dispatch there routes here above the threshold). The `k ≥ n`
-/// degenerate path is the caller's job, as it is for the packed rungs.
-pub(crate) fn local_search_hist_traced(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-    trace: &mut LadderTrace,
-) -> WorstCase {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let b = placement.num_objects() as u64;
-    let (hc, hs) = scratch.bind_hist(placement, s);
-    let mut overall = greedy_hist_into(hc, k);
-    trace.greedy = Some((overall.failed, overall.nodes.clone()));
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            hc.clear();
-            seed_random_hist(hc, hs, k, &mut rng);
-        }
-        climb_hist(hc, hs, config.max_steps, b);
-        trace.restarts.push((hc.failed(), hc.nodes()));
-        if hc.failed() > overall.failed {
-            overall = WorstCase {
-                failed: hc.failed(),
-                nodes: hc.nodes(),
-                exact: false,
-            };
-        }
-        if overall.failed == b {
-            break;
-        }
-    }
-    overall
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FailureCounts;
+    use crate::search::{node_local_search, LadderTrace};
+    use crate::{AdversaryConfig, AdversaryScratch, FailureCounts};
     use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
@@ -672,15 +585,9 @@ mod tests {
             for (s, k) in [(1u16, 3u16), (2, 4), (3, 5)] {
                 let mut tr_h = LadderTrace::default();
                 let mut tr_p = LadderTrace::default();
-                let h = crate::search::local_search_worst_traced(
-                    &p,
-                    s,
-                    k,
-                    &cfg_hist,
-                    &mut AdversaryScratch::new(),
-                    &mut tr_h,
-                );
-                let pk = crate::search::local_search_worst_traced(
+                let h =
+                    node_local_search(&p, s, k, &cfg_hist, &mut AdversaryScratch::new(), &mut tr_h);
+                let pk = node_local_search(
                     &p,
                     s,
                     k,

@@ -13,18 +13,149 @@
 //!     .run_domain(&placement, &topo, s, k) // unit budget -> DomainLadderOutcome
 //! ```
 //!
-//! The legacy free functions (`worst_case_failures`,
-//! `worst_case_certified`, their `_with` twins and the domain pair)
-//! survive one more PR as thin deprecated shims over this builder; all
-//! in-tree callers are already migrated.
-//!
-//! The builder adds no policy of its own: `run` dispatches to the same
-//! shared auto ladder (greedy → multi-restart local search → exact
-//! branch-and-bound) whether or not a certificate is requested, so the
-//! certified and uncertified answers cannot drift.
+//! Every terminal call goes through one driver, [`drive`], over the
+//! [`Rungs`] of its budget — node or failure unit, on whichever backends
+//! and schedule (serial or parallel) the configuration selects. The
+//! driver always records the heuristic trace and always runs the exact
+//! rung; a certificate only adds the rung records and the exact rung's
+//! bound ledger, so the certified and uncertified answers cannot drift.
 
-use crate::{certify, domain, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase};
-use wcp_core::{Certificate, Placement, Topology};
+use crate::counts::PackedCounts;
+use crate::search::{self, Choice, LadderTrace};
+use crate::{
+    certify, domain, exact, parallel, AdversaryConfig, AdversaryScratch, DomainWorstCase, WorstCase,
+};
+use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, RungKind, Topology};
+
+/// The rungs of one ladder run, for [`drive`] to climb.
+pub(crate) trait Rungs {
+    /// Choosable elements: nodes, or failure units.
+    fn universe(&self) -> usize;
+    /// Every element chosen — the answer to a budget covering them all.
+    fn everything(&mut self) -> Choice;
+    /// The heuristic rungs (greedy seed plus restarts), recording the
+    /// decision trace.
+    fn heuristic(&mut self, trace: &mut LadderTrace) -> Choice;
+    /// The exact branch-and-bound rung seeded with `incumbent`: `None`
+    /// on budget exhaustion, an empty witness when nothing beat the
+    /// incumbent.
+    fn exact(&mut self, incumbent: u64) -> Option<Choice>;
+    /// The exact rung's root-frontier bound ledger (see
+    /// [`certify::ledger`]).
+    fn ledger(&mut self) -> Vec<LedgerEntry>;
+}
+
+/// The ladder driver: the heuristic rungs seed the exact rung, whose
+/// answer is kept when it completes within budget and the heuristic's
+/// (labelled inexact) otherwise. Degenerate budgets — `k = 0` fails
+/// nothing, `k ≥ universe` everything reachable — need no search. With
+/// a base certificate, also records each rung and, for a completed
+/// search, the ledger. Returns the answer, whether it is exact, and
+/// the sealed certificate.
+pub(crate) fn drive<R: Rungs>(
+    rungs: &mut R,
+    k: u16,
+    mut cert: Option<Certificate>,
+) -> (Choice, bool, Option<Certificate>) {
+    let degenerate = k == 0 || usize::from(k) >= rungs.universe();
+    let (result, exact) = if degenerate {
+        let all = if k == 0 {
+            Choice::default()
+        } else {
+            rungs.everything()
+        };
+        (all, true)
+    } else {
+        let mut trace = LadderTrace::default();
+        let heuristic = rungs.heuristic(&mut trace);
+        if let Some(cert) = &mut cert {
+            certify::push_heuristic_rungs(cert, &trace, &heuristic);
+        }
+        match rungs.exact(heuristic.failed) {
+            // The DFS only returns a witness when it beats the seed;
+            // the heuristic's witness stands otherwise.
+            Some(better) if better.failed > heuristic.failed => (better, true),
+            Some(_) => (heuristic, true),
+            None => (heuristic, false),
+        }
+    };
+    if let Some(cert) = &mut cert {
+        if exact {
+            cert.rungs.push(certify::rung(RungKind::Exact, &result, 0));
+            if !degenerate {
+                cert.ledger = rungs.ledger();
+            }
+        }
+        cert.claimed_failed = result.failed;
+        cert.exact = exact;
+    }
+    (result, exact, cert)
+}
+
+/// The node-budget rungs: greedy and local search on the packed kernel
+/// or, above the histogram threshold, the histogram classes; the exact
+/// DFS and its ledger on the packed kernel; all of it serial, or on the
+/// thread-count-invariant parallel schedule of [`crate::parallel`].
+struct NodeRungs<'a> {
+    placement: &'a Placement,
+    s: u16,
+    k: u16,
+    config: &'a AdversaryConfig,
+    scratch: &'a mut AdversaryScratch,
+    /// Whether an earlier rung of this run bound the packed kernel to
+    /// `(placement, s)` — later rungs then only clear it.
+    packed_bound: bool,
+}
+
+impl Rungs for NodeRungs<'_> {
+    fn universe(&self) -> usize {
+        usize::from(self.placement.num_nodes())
+    }
+
+    fn everything(&mut self) -> Choice {
+        let wc = exact::degenerate_all_nodes(self.placement, self.s, self.k);
+        Choice::of_nodes(wc.failed, wc.nodes)
+    }
+
+    fn heuristic(&mut self, trace: &mut LadderTrace) -> Choice {
+        let (placement, s, k, config) = (self.placement, self.s, self.k, self.config);
+        if let Some(parallelism) = config.parallelism {
+            return parallel::local_search_traced(placement, s, k, config, parallelism, trace);
+        }
+        self.packed_bound = !config.uses_histogram(placement.num_objects());
+        search::node_local_search(placement, s, k, config, self.scratch, trace)
+    }
+
+    fn exact(&mut self, incumbent: u64) -> Option<Choice> {
+        let (placement, s, k) = (self.placement, self.s, self.k);
+        let budget = self.config.exact_budget;
+        let reuse = std::mem::replace(&mut self.packed_bound, true);
+        let wc = match self.config.parallelism {
+            Some(parallelism) => parallel::exact_in(
+                placement,
+                s,
+                k,
+                budget,
+                incumbent,
+                parallelism,
+                self.scratch,
+                reuse,
+            )?,
+            None => {
+                let (pc, _, ds) = self.scratch.packed(placement, s, reuse);
+                let all = placement.num_objects() as u64;
+                exact::run_dfs(pc, ds, k, budget, incumbent, all)?
+            }
+        };
+        Some(Choice::of_nodes(wc.failed, wc.nodes))
+    }
+
+    fn ledger(&mut self) -> Vec<LedgerEntry> {
+        let reuse = std::mem::replace(&mut self.packed_bound, true);
+        let (pc, _, _) = self.scratch.packed(self.placement, self.s, reuse);
+        certify::ledger(pc, self.k)
+    }
+}
 
 /// One configured adversary-ladder run. See the module docs for the
 /// builder grammar; terminal calls are [`Ladder::run`] (node budget)
@@ -116,22 +247,28 @@ impl<'a> Ladder<'a> {
     /// Panics if `k > n` or `s > r` (placement shape mismatch).
     #[must_use]
     pub fn run(self, placement: &Placement, s: u16, k: u16) -> LadderOutcome {
+        assert!(k <= placement.num_nodes(), "k must be ≤ n");
+        assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
         let mut local = AdversaryScratch::new();
         let scratch = match self.scratch {
             Some(s) => s,
             None => &mut local,
         };
-        if self.certified {
-            let (worst, cert) = certify::certified_ladder(placement, s, k, self.config, scratch);
-            LadderOutcome {
-                worst,
-                certificate: Some(cert),
-            }
-        } else {
-            LadderOutcome {
-                worst: crate::auto_ladder(placement, s, k, self.config, scratch),
-                certificate: None,
-            }
+        let cert = self
+            .certified
+            .then(|| certify::base_certificate(placement, CertificateKind::Node, s, k));
+        let mut rungs = NodeRungs {
+            placement,
+            s,
+            k,
+            config: self.config,
+            scratch,
+            packed_bound: false,
+        };
+        let (choice, exact, certificate) = drive(&mut rungs, k, cert);
+        LadderOutcome {
+            worst: choice.worst(exact),
+            certificate,
         }
     }
 
@@ -151,19 +288,15 @@ impl<'a> Ladder<'a> {
         s: u16,
         k: u16,
     ) -> DomainLadderOutcome {
-        if self.certified {
-            let (worst, cert) =
-                domain::domain_certified_ladder(placement, topology, s, k, self.config);
-            DomainLadderOutcome {
-                worst,
-                certificate: Some(cert),
-            }
-        } else {
-            DomainLadderOutcome {
-                worst: domain::domain_auto_ladder(placement, topology, s, k, self.config),
-                certificate: None,
-            }
-        }
+        let (worst, certificate) = domain::unit_ladder::<PackedCounts>(
+            placement,
+            topology,
+            s,
+            k,
+            self.config,
+            self.certified,
+        );
+        DomainLadderOutcome { worst, certificate }
     }
 }
 
@@ -210,44 +343,32 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn builder_matches_every_legacy_shim() {
-        // The one-PR compatibility contract: each cell of the legacy
-        // 2×2 node matrix and the domain pair answers exactly like the
-        // builder spelling that replaces it.
+    fn certified_and_plain_builders_agree() {
+        // Requesting a certificate or a scratch never changes the
+        // answer, on either budget.
         let p = random_placement(14, 60, 3, 11);
         let config = AdversaryConfig::default();
         let (s, k) = (2u16, 3u16);
 
         let plain = Ladder::new(&config).run(&p, s, k);
         assert_eq!(plain.certificate, None);
-        assert_eq!(crate::worst_case_failures(&p, s, k, &config), plain.worst);
-        let mut scratch = AdversaryScratch::new();
-        assert_eq!(
-            crate::worst_case_failures_with(&p, s, k, &config, &mut scratch),
-            plain.worst
-        );
-
         let certified = Ladder::new(&config).certified().run(&p, s, k);
-        let (wc, cert) = crate::worst_case_certified(&p, s, k, &config);
-        assert_eq!(
-            (wc, Some(cert)),
-            (certified.worst.clone(), certified.certificate.clone())
-        );
-        let (wc, cert) = crate::worst_case_certified_with(&p, s, k, &config, &mut scratch);
-        assert_eq!((Some(cert), wc), (certified.certificate, certified.worst));
+        assert_eq!(certified.worst, plain.worst);
+        let mut scratch = AdversaryScratch::new();
+        let reused = Ladder::new(&config)
+            .scratch(&mut scratch)
+            .certified()
+            .run(&p, s, k);
+        assert_eq!(reused, certified);
 
         let topo = Topology::split(14, &[7]).unwrap();
         let dom = Ladder::new(&config).certified().run_domain(&p, &topo, s, 1);
-        let (wc, cert) = crate::domain_worst_case_certified(&p, &topo, s, 1, &config);
-        assert_eq!((wc, Some(cert)), (dom.worst.clone(), dom.certificate));
+        let plain_dom = Ladder::new(&config).run_domain(&p, &topo, s, 1);
+        assert_eq!(plain_dom.certificate, None);
+        assert_eq!(dom.worst, plain_dom.worst);
         assert_eq!(
-            crate::domain_worst_case_failures(&p, &topo, s, 1, &config),
-            Ladder::new(&config).run_domain(&p, &topo, s, 1).worst
-        );
-        assert_eq!(
-            dom.worst,
-            Ladder::new(&config).run_domain(&p, &topo, s, 1).worst
+            dom.certificate.map(|cert| cert.claimed_failed),
+            Some(dom.worst.failed)
         );
     }
 

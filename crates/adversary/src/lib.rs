@@ -21,19 +21,22 @@
 //! i.e. over-estimate availability — experiment reports carry the `exact`
 //! flag for this reason.
 //!
-//! Every adversary also has a `_with` variant threading an
+//! Every rung also has a `_with` variant threading an
 //! [`AdversaryScratch`] so batch callers reuse the failure-accounting
 //! buffers across evaluations; [`SweepAdversary`] packages that as the
 //! per-worker attacker of `wcp_core`'s parallel sweep subsystem.
 //!
-//! The whole ladder runs on the word-parallel [`PackedCounts`] kernel —
-//! a CSR inverted index plus bit-sliced hit counters updated 64 objects
-//! per instruction (see the type's docs for the design). The scalar
-//! [`FailureCounts`] backend remains as the reference oracle, and the
-//! pre-kernel ladder survives in [`mod@reference`] for differential testing
-//! and as the benchmark baseline.
+//! The heuristic rungs and the ladder's driver are each written once and
+//! run on several failure-accounting backends: the word-parallel
+//! [`PackedCounts`] kernel — a CSR inverted index plus bit-sliced hit
+//! counters updated 64 objects per instruction (see the type's docs for
+//! the design) — above the histogram threshold a compressed per-class
+//! backend, and the scalar [`FailureCounts`] oracle, which
+//! [`mod@reference`] runs the same rungs on for differential testing and
+//! as the benchmark baseline. The backends differ in speed only, never
+//! in the answer.
 //!
-//! The [`mod@domain`] module lifts the whole ladder to *hierarchical
+//! The [`mod@domain`] module runs the same ladder over *hierarchical
 //! failure domains*: [`Ladder::run_domain`] spends the budget on tree
 //! nodes of a `wcp_core::Topology` (leaves, racks, zones — failing an
 //! internal node fails its whole leaf set), degenerating to the
@@ -54,13 +57,10 @@ mod pool;
 pub mod reference;
 mod search;
 
-#[allow(deprecated)]
-pub use certify::{worst_case_certified, worst_case_certified_with};
 pub use counts::{BuildStats, FailureCounts, PackedCounts};
-#[allow(deprecated)]
 pub use domain::{
-    domain_exact_worst, domain_greedy_worst, domain_local_search_worst,
-    domain_worst_case_certified, domain_worst_case_failures, DomainAttacker, DomainWorstCase,
+    domain_exact_worst, domain_greedy_worst, domain_local_search_worst, DomainAttacker,
+    DomainWorstCase,
 };
 pub use exact::{exact_worst, exact_worst_with};
 pub use ladder::{DomainLadderOutcome, Ladder, LadderOutcome};
@@ -100,87 +100,65 @@ impl AdversaryScratch {
     /// Binds the scalar reference backend to a placement/threshold,
     /// reusing previous allocations when present.
     pub fn bind(&mut self, placement: &Placement, s: u16) -> &mut FailureCounts {
-        match &mut self.fc {
-            Some(fc) => fc.rebind(placement, s),
-            None => self.fc = Some(FailureCounts::new(placement, s)),
-        }
-        self.fc.as_mut().expect("bound above")
+        let fc = match self.fc.take() {
+            Some(mut fc) => {
+                fc.rebind(placement, s);
+                fc
+            }
+            None => FailureCounts::new(placement, s),
+        };
+        self.fc.insert(fc)
     }
 
-    /// Binds the word-parallel kernel to a placement/threshold and
-    /// hands back the kernel plus the search side buffers.
-    pub(crate) fn bind_packed(
+    /// The word-parallel kernel bound to `(placement, s)`, with the
+    /// search side buffers. With `reuse`, the caller vouches that an
+    /// earlier rung already bound this same pair, and the kernel is only
+    /// cleared (no index rebuild); otherwise it is rebound, reusing
+    /// previous allocations. An unbound scratch is built either way.
+    pub(crate) fn packed(
         &mut self,
         placement: &Placement,
         s: u16,
+        reuse: bool,
     ) -> (
         &mut PackedCounts,
         &mut search::ClimbScratch,
         &mut exact::DfsScratch,
     ) {
-        match &mut self.packed {
-            Some(pc) => pc.rebind(placement, s),
-            None => self.packed = Some(PackedCounts::new(placement, s)),
+        let pc = match self.packed.take() {
+            Some(mut pc) if reuse => {
+                pc.clear();
+                pc
+            }
+            Some(mut pc) => {
+                pc.rebind(placement, s);
+                pc
+            }
+            None => PackedCounts::new(placement, s),
+        };
+        if !reuse {
+            // A rebind can change placement content behind an identical
+            // (n, b, s) shape; the DFS pair matrix must not survive it.
+            self.dfs.invalidate_pair_cache();
         }
-        // A rebind can change placement content behind an identical
-        // (n, b, s) shape; the DFS pair matrix must not survive it.
-        self.dfs.invalidate_pair_cache();
-        (
-            self.packed.as_mut().expect("bound above"),
-            &mut self.climb,
-            &mut self.dfs,
-        )
+        (self.packed.insert(pc), &mut self.climb, &mut self.dfs)
     }
 
-    /// Binds the compressed histogram backend to a placement/threshold
-    /// and hands back the backend plus its side buffers (reusing
-    /// previous allocations when present).
-    pub(crate) fn bind_hist(
+    /// The compressed histogram backend bound to `(placement, s)`, with
+    /// its side buffers; `reuse` as for [`AdversaryScratch::packed`].
+    pub(crate) fn hist(
         &mut self,
         placement: &Placement,
         s: u16,
+        reuse: bool,
     ) -> (&mut hist::HistogramCounts, &mut hist::HistClimbScratch) {
         let hc = self.hist.get_or_insert_with(Default::default);
-        hc.rebind(placement, s);
+        if reuse {
+            hc.clear();
+        } else {
+            hc.rebind(placement, s);
+        }
         (hc, &mut self.hist_climb)
-    }
-
-    /// The already-bound histogram backend and side buffers, without
-    /// rebinding. Callers must guarantee a preceding
-    /// [`AdversaryScratch::bind_hist`] for the same `(placement, s)`
-    /// (the parallel ladder's per-worker binding); an unbound scratch
-    /// yields an empty default backend rather than panicking.
-    pub(crate) fn parts_hist(
-        &mut self,
-    ) -> (&mut hist::HistogramCounts, &mut hist::HistClimbScratch) {
-        (
-            self.hist.get_or_insert_with(Default::default),
-            &mut self.hist_climb,
-        )
-    }
-
-    /// The already-bound kernel and side buffers, without rebinding.
-    /// Callers must guarantee a preceding [`AdversaryScratch::bind_packed`]
-    /// for the same `(placement, s)` (the auto ladder's exact stage
-    /// reuses the local-search stage's binding this way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel has never been bound.
-    pub(crate) fn parts_packed(
-        &mut self,
-    ) -> (
-        &mut PackedCounts,
-        &mut search::ClimbScratch,
-        &mut exact::DfsScratch,
-    ) {
-        (
-            self.packed
-                .as_mut()
-                .expect("kernel bound by an earlier stage"),
-            &mut self.climb,
-            &mut self.dfs,
-        )
     }
 }
 
@@ -201,16 +179,16 @@ pub struct AdversaryConfig {
     /// workers — restarts fan out with independent per-restart RNG
     /// streams and the exact rung splits its root frontier, with
     /// results bit-identical for every thread count (including 1).
-    /// `None` (the default) keeps the legacy serial schedule
+    /// `None` (the default) keeps the serial schedule
     /// byte-for-byte. See the `parallel` module's docs in the source
     /// for the determinism argument.
     pub parallelism: Option<Parallelism>,
     /// Object-count threshold above which the greedy and local-search
     /// rungs run on the compressed histogram backend (per-class counts,
     /// `O(classes)` state) instead of the per-object packed planes; the
-    /// exact rung always uses the packed kernel. The backends are
-    /// decision-identical (see the `hist` module docs), so this only
-    /// moves the memory/speed trade-off, never the answer.
+    /// exact rung always uses the packed kernel. Both backends run the
+    /// same rungs (see the `hist` module docs), so this only moves the
+    /// memory/speed trade-off, never the answer.
     pub hist_threshold: u64,
 }
 
@@ -330,99 +308,6 @@ pub struct WorstCase {
     pub nodes: Vec<u16>,
     /// Whether the value is provably the maximum.
     pub exact: bool,
-}
-
-/// Legacy spelling of `Ladder::new(config).run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_failures(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> WorstCase {
-    auto_ladder(placement, s, k, config, &mut AdversaryScratch::new())
-}
-
-/// Legacy spelling of
-/// `Ladder::new(config).scratch(scratch).run(placement, s, k)`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `Ladder::new(config).scratch(scratch).run(placement, s, k)`"
-)]
-#[must_use]
-pub fn worst_case_failures_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    auto_ladder(placement, s, k, config, scratch)
-}
-
-/// The auto policy behind [`Ladder::run`]: exact branch-and-bound when
-/// it completes within budget, otherwise the better of greedy and
-/// multi-restart local search.
-///
-/// # Panics
-///
-/// Panics if `k > n` or `s > r` (placement shape mismatch).
-pub(crate) fn auto_ladder(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    assert!(k <= placement.num_nodes(), "k must be ≤ n");
-    assert!(s <= placement.replicas_per_object(), "s must be ≤ r");
-    if let Some(parallelism) = config.parallelism {
-        return parallel::worst_case_failures_parallel(placement, s, k, config, parallelism);
-    }
-    // Seed the exact search with the local-search incumbent: a strong lower
-    // bound tightens pruning dramatically. The exact stage reuses the
-    // local-search stage's kernel binding (one index build per
-    // evaluation, not two); at k = n both stages take their degenerate
-    // path and never bind.
-    let heuristic = local_search_worst_with(placement, s, k, config, scratch);
-    // Above the histogram threshold the heuristic rungs never bind the
-    // packed kernel, so the exact rung binds it itself instead of
-    // reusing the local-search stage's binding.
-    let exact_rung = if config.uses_histogram(placement.num_objects()) {
-        exact::exact_worst_with(
-            placement,
-            s,
-            k,
-            config.exact_budget,
-            heuristic.failed,
-            scratch,
-        )
-    } else {
-        exact::exact_worst_rebound(
-            placement,
-            s,
-            k,
-            config.exact_budget,
-            heuristic.failed,
-            scratch,
-        )
-    };
-    if let Some(exact) = exact_rung {
-        // The DFS only returns node sets when it beats the seed; reuse the
-        // heuristic's witness when the incumbent stood.
-        if exact.failed > heuristic.failed {
-            return exact;
-        }
-        return WorstCase {
-            exact: true,
-            ..heuristic
-        };
-    }
-    heuristic
 }
 
 /// Worst-case availability: `(survivors, witness)` under the auto

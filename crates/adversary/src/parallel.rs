@@ -33,65 +33,23 @@
 //! live in [`crate::pool`]; this module contains no thread or ordering
 //! code of its own.
 
-use crate::counts::PackedCounts;
-use crate::exact::{self, DfsScratch};
-use crate::hist::{self, HistClimbScratch, HistogramCounts};
+use crate::exact;
+use crate::hist::HistClimb;
 use crate::pool::{fan_out, SharedBound};
-use crate::search::{self, ClimbScratch, LadderTrace};
+use crate::search::{self, Choice, LadderTrace, PackedClimb};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wcp_core::{Parallelism, Placement};
 
 /// Per-worker state: one scratch, bound lazily on the worker's first
-/// task and cleared between tasks — one CSR index build per *worker*,
-/// not per task.
+/// task and cleared between tasks — one index build per *worker*, not
+/// per task.
+#[derive(Default)]
 struct Worker {
     scratch: AdversaryScratch,
-    bound: bool,
-    bound_hist: bool,
-}
-
-impl Worker {
-    fn fresh() -> Self {
-        Self {
-            scratch: AdversaryScratch::new(),
-            bound: false,
-            bound_hist: false,
-        }
-    }
-
-    fn parts(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (&mut PackedCounts, &mut ClimbScratch, &mut DfsScratch) {
-        if self.bound {
-            let (pc, cs, ds) = self.scratch.parts_packed();
-            pc.clear();
-            (pc, cs, ds)
-        } else {
-            self.bound = true;
-            self.scratch.bind_packed(placement, s)
-        }
-    }
-
-    /// The histogram-backend analogue of [`Worker::parts`]: one class
-    /// construction per worker, cleared between tasks.
-    fn parts_hist(
-        &mut self,
-        placement: &Placement,
-        s: u16,
-    ) -> (&mut HistogramCounts, &mut HistClimbScratch) {
-        if self.bound_hist {
-            let (hc, hs) = self.scratch.parts_hist();
-            hc.clear();
-            (hc, hs)
-        } else {
-            self.bound_hist = true;
-            self.scratch.bind_hist(placement, s)
-        }
-    }
+    packed: bool,
+    hist: bool,
 }
 
 /// Splitmix64-style mix of `(seed, restart index)`: decorrelated,
@@ -102,6 +60,31 @@ fn restart_seed(seed: u64, restart: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// One restart of the parallel schedule: the greedy set for restart 0
+/// (returned too, for the trace), otherwise a random `k`-set from the
+/// restart's own stream; then the climb.
+fn restart_pass<B: search::Backend>(
+    be: &mut B,
+    t: usize,
+    k: u16,
+    config: &AdversaryConfig,
+    all: u64,
+) -> (Option<Choice>, Choice) {
+    let greedy = if t == 0 {
+        search::greedy(be, k);
+        Some(be.choice())
+    } else {
+        let mut rng = StdRng::seed_from_u64(restart_seed(config.seed, t as u64));
+        search::seed_random(be, k, &mut rng);
+        None
+    };
+    // restarts = 0 keeps the bare greedy set.
+    if config.restarts > 0 {
+        search::climb(be, config.max_steps, all);
+    }
+    (greedy, be.choice())
 }
 
 /// Multi-restart local search with the restarts fanned across
@@ -134,7 +117,13 @@ pub fn local_search_worst_parallel(
     config: &AdversaryConfig,
     parallelism: Parallelism,
 ) -> WorstCase {
-    local_search_worst_parallel_traced(
+    if k >= placement.num_nodes() {
+        return WorstCase {
+            exact: false,
+            ..exact::degenerate_all_nodes(placement, s, k)
+        };
+    }
+    local_search_traced(
         placement,
         s,
         k,
@@ -142,90 +131,57 @@ pub fn local_search_worst_parallel(
         parallelism,
         &mut LadderTrace::default(),
     )
+    .worst(false)
 }
 
-/// [`local_search_worst_parallel`] recording the per-rung decision
-/// trace for the certificate prover (the untraced entry point passes a
-/// discarded trace). Trace entries are keyed by restart index, so the
-/// recorded trace — like the returned result — is thread-count
-/// invariant.
-pub(crate) fn local_search_worst_parallel_traced(
+/// [`local_search_worst_parallel`] for `k < n`, recording the per-rung
+/// decision trace for the certificate prover. Trace entries are keyed
+/// by restart index, so the recorded trace — like the returned result —
+/// is thread-count invariant.
+pub(crate) fn local_search_traced(
     placement: &Placement,
     s: u16,
     k: u16,
     config: &AdversaryConfig,
     parallelism: Parallelism,
     trace: &mut LadderTrace,
-) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
-        return WorstCase {
-            exact: false,
-            ..exact::degenerate_all_nodes(placement, s, k)
-        };
-    }
-    let b = placement.num_objects() as u64;
+) -> Choice {
+    let all = placement.num_objects() as u64;
     // Mirror the serial restart schedule: `restarts` climb passes, the
-    // first greedy-seeded; restarts = 0 keeps the bare greedy set.
+    // first greedy-seeded.
     let restarts = config.restarts.max(1) as usize;
-    let climb = config.restarts > 0;
     let use_hist = config.uses_histogram(placement.num_objects());
-    let results = fan_out(restarts, parallelism.threads(), Worker::fresh, |w, t| {
+    let results = fan_out(restarts, parallelism.threads(), Worker::default, |w, t| {
         if use_hist {
             // Million-object regime: same schedule on the compressed
-            // histogram backend (decision-identical to the packed one).
-            let (hc, hs) = w.parts_hist(placement, s);
-            let greedy = if t == 0 {
-                let g = hist::greedy_hist_into(hc, k);
-                Some((g.failed, g.nodes))
-            } else {
-                let mut rng = StdRng::seed_from_u64(restart_seed(config.seed, t as u64));
-                hist::seed_random_hist(hc, hs, k, &mut rng);
-                None
-            };
-            if climb {
-                hist::climb_hist(hc, hs, config.max_steps, b);
-            }
-            return (greedy, hc.failed(), hc.nodes());
-        }
-        let (pc, cs, _) = w.parts(placement, s);
-        let greedy = if t == 0 {
-            let g = search::greedy_into(pc, cs, k);
-            Some((g.failed, g.nodes))
+            // histogram backend.
+            let reuse = std::mem::replace(&mut w.hist, true);
+            let (hc, hs) = w.scratch.hist(placement, s, reuse);
+            restart_pass(&mut HistClimb { hc, hs }, t, k, config, all)
         } else {
-            let mut rng = StdRng::seed_from_u64(restart_seed(config.seed, t as u64));
-            search::seed_random_set(pc, cs, k, &mut rng);
-            None
-        };
-        if climb {
-            search::climb(pc, cs, config.max_steps, b);
+            let reuse = std::mem::replace(&mut w.packed, true);
+            let (pc, cs, _) = w.scratch.packed(placement, s, reuse);
+            restart_pass(&mut PackedClimb { pc, cs }, t, k, config, all)
         }
-        (greedy, pc.failed(), pc.nodes())
     });
-    let mut best: Option<(u64, Vec<u16>)> = None;
-    for (greedy, f, w) in results {
+    let mut best: Option<Choice> = None;
+    for (greedy, pass) in results {
         if greedy.is_some() {
             trace.greedy = greedy;
         }
         match &mut best {
-            Some((bf, bw)) => {
-                if f > *bf || (f == *bf && w < *bw) {
-                    *bf = f;
-                    bw.clone_from(&w);
+            Some(b) => {
+                if pass.failed > b.failed || (pass.failed == b.failed && pass.nodes < b.nodes) {
+                    b.clone_from(&pass);
                 }
             }
-            None => best = Some((f, w.clone())),
+            None => best = Some(pass.clone()),
         }
-        trace.restarts.push((f, w));
+        trace.restarts.push(pass);
     }
     // The empty fallback is unreachable (restarts ≥ 1), but a harmless
     // answer beats a panic.
-    let (failed, nodes) = best.unwrap_or((0, Vec::new()));
-    WorstCase {
-        failed,
-        nodes,
-        exact: false,
-    }
+    best.unwrap_or_default()
 }
 
 /// Frontier-parallel exact worst case: the root frame's children fan
@@ -258,6 +214,32 @@ pub fn exact_worst_parallel(
     incumbent: u64,
     parallelism: Parallelism,
 ) -> Option<WorstCase> {
+    exact_in(
+        placement,
+        s,
+        k,
+        budget,
+        incumbent,
+        parallelism,
+        &mut AdversaryScratch::new(),
+        false,
+    )
+}
+
+/// [`exact_worst_parallel`] computing the root frame on the caller's
+/// scratch (`reuse` as for [`AdversaryScratch::packed`]), which it
+/// leaves bound to `(placement, s)` for the certificate ledger.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exact_in(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+    parallelism: Parallelism,
+    scratch: &mut AdversaryScratch,
+    reuse: bool,
+) -> Option<WorstCase> {
     let n = placement.num_nodes();
     if k >= n {
         return Some(exact::degenerate_all_nodes(placement, s, k));
@@ -276,8 +258,7 @@ pub fn exact_worst_parallel(
     // same `(gain, load, node)` descending key the serial DFS sorts its
     // root frame by (the key is a total order — it ends in the node id
     // — so the order is unique and schedule-free).
-    let mut scratch = AdversaryScratch::new();
-    let (pc, _, _) = scratch.bind_packed(placement, s);
+    let (pc, _, _) = scratch.packed(placement, s, reuse);
     if incumbent >= b || pc.failable_within(k) <= incumbent {
         return Some(confirmed);
     }
@@ -288,8 +269,9 @@ pub fn exact_worst_parallel(
     // child, each exploring that child's whole subtree.
     let tasks = usize::from(n - k) + 1;
     let shared = SharedBound::new(incumbent);
-    let results = fan_out(tasks, parallelism.threads(), Worker::fresh, |w, t| {
-        let (pc, _, ds) = w.parts(placement, s);
+    let results = fan_out(tasks, parallelism.threads(), Worker::default, |w, t| {
+        let reuse = std::mem::replace(&mut w.packed, true);
+        let (pc, _, ds) = w.scratch.packed(placement, s, reuse);
         exact::dfs_rooted(pc, ds, &order, t, k, budget, incumbent, b, &shared)
     });
     let mut failed = incumbent;
@@ -309,42 +291,25 @@ pub fn exact_worst_parallel(
     })
 }
 
-/// The full parallel ladder: parallel local search seeds the
-/// frontier-parallel exact rung, falling back to the heuristic on
-/// budget exhaustion — the parallel mirror of
-/// [`crate::worst_case_failures_with`]'s auto policy, reached by
-/// setting [`AdversaryConfig::parallelism`].
-pub(crate) fn worst_case_failures_parallel(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    parallelism: Parallelism,
-) -> WorstCase {
-    let heuristic = local_search_worst_parallel(placement, s, k, config, parallelism);
-    if let Some(exact) = exact_worst_parallel(
-        placement,
-        s,
-        k,
-        config.exact_budget,
-        heuristic.failed,
-        parallelism,
-    ) {
-        if exact.failed > heuristic.failed {
-            return exact;
-        }
-        return WorstCase {
-            exact: true,
-            ..heuristic
-        };
-    }
-    heuristic
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact_worst;
+    use crate::{exact_worst, Ladder};
+
+    /// The full ladder on the parallel schedule.
+    fn parallel_ladder(
+        p: &Placement,
+        s: u16,
+        k: u16,
+        config: &AdversaryConfig,
+        parallelism: Parallelism,
+    ) -> WorstCase {
+        let config = AdversaryConfig {
+            parallelism: Some(parallelism),
+            ..config.clone()
+        };
+        Ladder::new(&config).run(p, s, k).worst
+    }
     use wcp_core::{RandomStrategy, RandomVariant, SystemParams};
 
     fn random_placement(n: u16, b: u64, r: u16, seed: u64) -> Placement {
@@ -384,11 +349,9 @@ mod tests {
         for seed in 0..3u64 {
             let p = random_placement(16, 80, 3, seed);
             for (s, k) in [(1u16, 2u16), (2, 4), (3, 5)] {
-                let reference =
-                    worst_case_failures_parallel(&p, s, k, &config, Parallelism::single());
+                let reference = parallel_ladder(&p, s, k, &config, Parallelism::single());
                 for threads in [2usize, 5, 8] {
-                    let got =
-                        worst_case_failures_parallel(&p, s, k, &config, Parallelism::new(threads));
+                    let got = parallel_ladder(&p, s, k, &config, Parallelism::new(threads));
                     assert_eq!(got, reference, "seed={seed} s={s} k={k} threads={threads}");
                 }
             }
@@ -417,22 +380,10 @@ mod tests {
     #[test]
     fn degenerate_and_zero_k() {
         let p = random_placement(8, 20, 3, 1);
-        let all = worst_case_failures_parallel(
-            &p,
-            1,
-            8,
-            &AdversaryConfig::default(),
-            Parallelism::new(4),
-        );
+        let all = parallel_ladder(&p, 1, 8, &AdversaryConfig::default(), Parallelism::new(4));
         assert_eq!(all.failed, 20);
         assert!(all.exact);
-        let none = worst_case_failures_parallel(
-            &p,
-            1,
-            0,
-            &AdversaryConfig::default(),
-            Parallelism::new(4),
-        );
+        let none = parallel_ladder(&p, 1, 0, &AdversaryConfig::default(), Parallelism::new(4));
         assert_eq!((none.failed, none.exact), (0, true));
     }
 }

@@ -1,20 +1,64 @@
-//! The scalar reference ladder: the pre-kernel greedy, local-search and
-//! exact-DFS adversaries running on [`FailureCounts`].
+//! The scalar reference ladder: the greedy and local-search rungs of
+//! the `search` module run on the [`FailureCounts`] oracle, plus the
+//! pre-kernel exact DFS.
 //!
-//! These are the *oracle* implementations the word-parallel kernel is
-//! differentially tested against (`tests/packed_differential.rs`) and
-//! the baseline series recorded in `BENCH_adversary.json`. They are
-//! deliberately kept decision-identical to the production ladder in
-//! `search.rs`: same scan orders, same strict-improvement tie-breaking,
-//! same RNG stream — so the property suite can assert full `WorstCase`
-//! equality, not just equal objective values.
+//! The heuristic rungs here are not a second implementation: they are
+//! the one ladder on the scalar backend, whose gains are `O(ℓ)` row
+//! walks and whose climb re-scans every swap naively. That makes the
+//! scalar backend the oracle the faster backends' accounting and swap
+//! scans are differentially tested against (`tests/packed_differential.rs`,
+//! full `WorstCase` equality, witness included), and the baseline
+//! series recorded in `BENCH_adversary.json`. The decisions the
+//! backends share are pinned by a digest in the `search` tests.
 
 use crate::counts::FailureCounts;
+use crate::search::{self, Backend, Choice, LadderTrace};
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use wcp_core::Placement;
+
+/// The scalar [`FailureCounts`] oracle as a [`Backend`]: gains are
+/// `O(ℓ)` row walks and the climb keeps the naive swap scan.
+impl Backend for FailureCounts {
+    fn universe(&self) -> usize {
+        usize::from(self.num_nodes())
+    }
+
+    fn failed(&self) -> u64 {
+        FailureCounts::failed(self)
+    }
+
+    fn chosen(&self, x: usize) -> bool {
+        self.contains(x as u16)
+    }
+
+    fn gain(&mut self, x: usize) -> u64 {
+        FailureCounts::gain(self, x as u16)
+    }
+
+    fn weight(&self, x: usize) -> u64 {
+        self.objects_on(x as u16).len() as u64
+    }
+
+    fn add(&mut self, x: usize) {
+        self.add_node(x as u16);
+    }
+
+    fn remove(&mut self, x: usize) {
+        self.remove_node(x as u16);
+    }
+
+    fn clear(&mut self) {
+        FailureCounts::clear(self);
+    }
+
+    fn failable_within(&self, hits: u16) -> u64 {
+        FailureCounts::failable_within(self, hits)
+    }
+
+    fn choice(&self) -> Choice {
+        Choice::of_nodes(FailureCounts::failed(self), self.nodes())
+    }
+}
 
 /// Scalar greedy adversary (see [`crate::greedy_worst`] for semantics).
 #[must_use]
@@ -31,34 +75,8 @@ pub fn greedy_worst_with(
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
     let fc = scratch.bind(placement, s);
-    greedy_into(fc, placement, k)
-}
-
-/// Runs the greedy ascent into `fc` (must be bound to `placement` and
-/// empty); leaves `fc` holding the chosen node set.
-fn greedy_into(fc: &mut FailureCounts, placement: &Placement, k: u16) -> WorstCase {
-    let n = placement.num_nodes();
-    let loads = placement.cached_loads();
-    for _ in 0..k.min(n) {
-        let mut best_node = None;
-        let mut best_key = (0u64, 0u32);
-        for nd in 0..n {
-            if fc.contains(nd) {
-                continue;
-            }
-            let key = (fc.gain(nd), loads[usize::from(nd)]);
-            if best_node.is_none() || key > best_key {
-                best_key = key;
-                best_node = Some(nd);
-            }
-        }
-        fc.add_node(best_node.expect("k ≤ n leaves a choice"));
-    }
-    WorstCase {
-        failed: fc.failed(),
-        nodes: fc.nodes(),
-        exact: false,
-    }
+    search::greedy(fc, k);
+    fc.choice().worst(false)
 }
 
 /// Scalar local search (see [`crate::local_search_worst`]).
@@ -81,78 +99,9 @@ pub fn local_search_worst_with(
     config: &AdversaryConfig,
     scratch: &mut AdversaryScratch,
 ) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
-        let nodes: Vec<u16> = (0..n).collect();
-        let failed = placement.failed_objects(&nodes, s);
-        return WorstCase {
-            failed,
-            nodes,
-            exact: false,
-        };
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let b = placement.num_objects() as u64;
     let fc = scratch.bind(placement, s);
-    let mut overall = greedy_into(fc, placement, k);
-
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            fc.clear();
-            let mut nodes: Vec<u16> = (0..n).collect();
-            nodes.shuffle(&mut rng);
-            for &nd in nodes.iter().take(usize::from(k)) {
-                fc.add_node(nd);
-            }
-        }
-        climb(fc, n, config.max_steps, b);
-        if fc.failed() > overall.failed {
-            overall = WorstCase {
-                failed: fc.failed(),
-                nodes: fc.nodes(),
-                exact: false,
-            };
-        }
-        if overall.failed == b {
-            break;
-        }
-    }
-    overall
-}
-
-/// Best-improvement swaps until a local optimum (or step cap) — the
-/// `O(k·n·ℓ)`-per-step full re-scan the kernel's delta-maintained climb
-/// replaces.
-fn climb(fc: &mut FailureCounts, n: u16, max_steps: u32, all: u64) {
-    for _ in 0..max_steps {
-        if fc.failed() == all {
-            return;
-        }
-        let current = fc.failed();
-        let members = fc.nodes();
-        let mut best: Option<(u16, u16, u64)> = None; // (out, in, value)
-        for &out in &members {
-            fc.remove_node(out);
-            let base = fc.failed();
-            for inn in 0..n {
-                if fc.contains(inn) || inn == out {
-                    continue;
-                }
-                let value = base + fc.gain(inn);
-                if value > current && best.is_none_or(|(_, _, v)| value > v) {
-                    best = Some((out, inn, value));
-                }
-            }
-            fc.add_node(out);
-        }
-        match best {
-            Some((out, inn, _)) => {
-                fc.remove_node(out);
-                fc.add_node(inn);
-            }
-            None => return,
-        }
-    }
+    let all = placement.num_objects() as u64;
+    search::local_search(fc, k, config, all, &mut LadderTrace::default()).worst(false)
 }
 
 /// Scalar exact DFS with the load-ordered children and the

@@ -1,28 +1,249 @@
-//! Heuristic adversaries on the word-parallel kernel: greedy and
-//! steepest-ascent swap local search.
+//! The heuristic rungs — greedy ascent and steepest-ascent swap search
+//! with seeded restarts — written once over the [`Backend`] trait and
+//! run on every failure-accounting backend: the word-parallel
+//! [`PackedCounts`] kernel ([`PackedClimb`]), the compressed histogram
+//! classes ([`crate::hist`]), failure units of a topology
+//! ([`crate::domain`]) and the scalar [`crate::FailureCounts`] oracle
+//! ([`crate::reference`]).
 //!
-//! Both are available in two forms: the plain entry points
-//! ([`greedy_worst`], [`local_search_worst`]) that allocate their own
-//! failure accounting, and `_with` variants threading an
+//! One implementation means one set of decisions: every backend scans
+//! candidates in ascending order, breaks ties toward the first strict
+//! improvement and consumes the same RNG stream, so all of them return
+//! the same [`WorstCase`] and differ only in speed. The only
+//! backend-specific step is a climb step's swap scan
+//! ([`Backend::best_swap`]). Its default re-derives every swap naively
+//! (remove each member, query every candidate's gain, re-add); the
+//! packed kernel and the histogram backend override it with a gain
+//! table delta-maintained across swaps.
+//!
+//! The plain node entry points ([`greedy_worst`], [`local_search_worst`])
+//! allocate their own failure accounting; the `_with` variants thread an
 //! [`AdversaryScratch`] so callers evaluating many placements back to
-//! back (the sweep and churn subsystems) reuse the buffers instead of
-//! reallocating per evaluation.
-//!
-//! Decision-making is identical to the scalar ladder preserved in
-//! [`crate::reference`] — same scan orders, same strict-improvement
-//! tie-breaks, same RNG stream — so the two produce the same
-//! [`WorstCase`], just at very different speeds: gains come from the
-//! maintained `hits = s − 1` bitmap (`O(b/64)` per query), and the swap
-//! search keeps an incremental gain table that is delta-updated from the
-//! two swapped nodes' CSR rows instead of re-deriving every `(out, in)`
-//! pair from scratch each step.
+//! back reuse the buffers instead of reallocating per evaluation.
 
 use crate::counts::PackedCounts;
+use crate::hist::HistClimb;
 use crate::{AdversaryConfig, AdversaryScratch, WorstCase};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use wcp_core::Placement;
+
+/// One failure-accounting backend of the ladder. Its elements — nodes,
+/// or failure units — are dense indices `0..universe()`; the backend
+/// tracks a chosen set of them and the objects that set fails.
+pub(crate) trait Backend {
+    /// Number of choosable elements.
+    fn universe(&self) -> usize;
+    /// Objects failed by the chosen set.
+    fn failed(&self) -> u64;
+    /// Whether `x` is chosen.
+    fn chosen(&self, x: usize) -> bool;
+    /// Objects that would newly fail if the unchosen `x` were added
+    /// (`&mut` because unit backends apply and undo).
+    fn gain(&mut self, x: usize) -> u64;
+    /// The tie-break after gain: a node's load, or the total load of a
+    /// unit's leaves.
+    fn weight(&self, x: usize) -> u64;
+    /// Adds `x` to the chosen set.
+    fn add(&mut self, x: usize);
+    /// Removes `x` from the chosen set.
+    fn remove(&mut self, x: usize);
+    /// Empties the chosen set (and resets any maintained gain table).
+    fn clear(&mut self);
+    /// Objects within `hits` more replica hits of failing — the
+    /// admissible bound behind the exact rung's ledger.
+    fn failable_within(&self, hits: u16) -> u64;
+    /// The most hits one element can deal one object.
+    fn max_hits(&self) -> u16 {
+        1
+    }
+    /// The chosen set and its damage.
+    fn choice(&self) -> Choice;
+
+    /// The best strictly improving swap `(out, in, value)` from a chosen
+    /// set failing `current` objects: members `out` ascending, then
+    /// candidates `in` ascending, keeping the first strictly best value.
+    /// This default removes each member, queries every candidate's gain
+    /// and re-adds the member.
+    fn best_swap(&mut self, current: u64) -> Option<(usize, usize, u64)> {
+        let mut best: Option<(usize, usize, u64)> = None;
+        for out in 0..self.universe() {
+            if !self.chosen(out) {
+                continue;
+            }
+            self.remove(out);
+            let base = self.failed();
+            for inn in 0..self.universe() {
+                if self.chosen(inn) || inn == out {
+                    continue;
+                }
+                let value = base + self.gain(inn);
+                if value > current && best.is_none_or(|(_, _, v)| value > v) {
+                    best = Some((out, inn, value));
+                }
+            }
+            self.add(out);
+        }
+        best
+    }
+
+    /// Applies a swap [`Backend::best_swap`] chose.
+    fn swap(&mut self, out: usize, inn: usize) {
+        self.remove(out);
+        self.add(inn);
+    }
+}
+
+/// A chosen set with its damage: what every rung returns and every
+/// trace entry records. Node backends leave `units` empty; unit
+/// backends report the chosen units and their leaf union.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Choice {
+    /// Objects failed.
+    pub failed: u64,
+    /// The failed nodes (sorted).
+    pub nodes: Vec<u16>,
+    /// The chosen failure units (sorted; empty for node backends).
+    pub units: Vec<u32>,
+}
+
+impl Choice {
+    /// A node choice.
+    pub(crate) fn of_nodes(failed: u64, nodes: Vec<u16>) -> Self {
+        Self {
+            failed,
+            nodes,
+            units: Vec::new(),
+        }
+    }
+
+    /// The node-ladder outcome.
+    pub(crate) fn worst(self, exact: bool) -> WorstCase {
+        WorstCase {
+            failed: self.failed,
+            nodes: self.nodes,
+            exact,
+        }
+    }
+}
+
+/// Per-rung decision record the certificate prover consumes: the greedy
+/// seed's outcome plus each climb pass's outcome, in restart order.
+/// Recorded by the serial schedule below and the parallel fan-out in
+/// [`crate::parallel`] (whose entries differ because the two schedules
+/// differ — each is replayable against its own mode).
+#[derive(Debug, Default)]
+pub(crate) struct LadderTrace {
+    /// The greedy seed before any climbing.
+    pub greedy: Option<Choice>,
+    /// Each climb pass's outcome, in restart order.
+    pub restarts: Vec<Choice>,
+}
+
+/// Greedy ascent from the empty set: `k` times, adds the candidate with
+/// the largest `(gain, weight)`, the lowest index winning ties. Leaves
+/// the chosen set (and any maintained gain table) in `be`.
+pub(crate) fn greedy<B: Backend>(be: &mut B, k: u16) {
+    be.clear();
+    for _ in 0..usize::from(k).min(be.universe()) {
+        let mut best: Option<(usize, (u64, u64))> = None;
+        for x in 0..be.universe() {
+            if be.chosen(x) {
+                continue;
+            }
+            let key = (be.gain(x), be.weight(x));
+            if best.is_none_or(|(_, best_key)| key > best_key) {
+                best = Some((x, key));
+            }
+        }
+        let Some((x, _)) = best else {
+            break;
+        };
+        be.add(x);
+    }
+}
+
+/// Seeds a random `k`-set: one shuffle of `0..universe()`, the first
+/// `k` entries chosen.
+pub(crate) fn seed_random<B: Backend>(be: &mut B, k: u16, rng: &mut StdRng) {
+    be.clear();
+    let mut perm: Vec<u32> = (0..be.universe() as u32).collect();
+    perm.shuffle(rng);
+    for &x in perm.iter().take(usize::from(k)) {
+        be.add(x as usize);
+    }
+}
+
+/// Applies best-improvement swaps until a local optimum, `max_steps`,
+/// or every one of the `all` objects failed.
+pub(crate) fn climb<B: Backend>(be: &mut B, max_steps: u32, all: u64) {
+    for _ in 0..max_steps {
+        let current = be.failed();
+        if current == all {
+            return;
+        }
+        let Some((out, inn, value)) = be.best_swap(current) else {
+            return;
+        };
+        be.swap(out, inn);
+        debug_assert_eq!(be.failed(), value, "swap value drifted");
+    }
+}
+
+/// The serial restart schedule: restart 0 climbs from the greedy set,
+/// restarts `1..restarts` from random `k`-sets drawn from one
+/// sequential stream seeded with `config.seed`; stops early once all
+/// `all` objects fail.
+pub(crate) fn local_search<B: Backend>(
+    be: &mut B,
+    k: u16,
+    config: &AdversaryConfig,
+    all: u64,
+    trace: &mut LadderTrace,
+) -> Choice {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    greedy(be, k);
+    let mut overall = be.choice();
+    trace.greedy = Some(overall.clone());
+    for restart in 0..config.restarts {
+        if restart > 0 {
+            seed_random(be, k, &mut rng);
+        }
+        climb(be, config.max_steps, all);
+        let pass = be.choice();
+        if pass.failed > overall.failed {
+            overall = pass.clone();
+        }
+        trace.restarts.push(pass);
+        if overall.failed == all {
+            break;
+        }
+    }
+    overall
+}
+
+/// The serial node heuristic on the backend `config` selects for this
+/// placement: the histogram classes from
+/// [`AdversaryConfig::hist_threshold`] objects up, the packed kernel
+/// below.
+pub(crate) fn node_local_search(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    scratch: &mut AdversaryScratch,
+    trace: &mut LadderTrace,
+) -> Choice {
+    let all = placement.num_objects() as u64;
+    if config.uses_histogram(placement.num_objects()) {
+        let (hc, hs) = scratch.hist(placement, s, false);
+        local_search(&mut HistClimb { hc, hs }, k, config, all, trace)
+    } else {
+        let (pc, cs, _) = scratch.packed(placement, s, false);
+        local_search(&mut PackedClimb { pc, cs }, k, config, all, trace)
+    }
+}
 
 /// Reusable buffers for the delta-maintained swap search.
 #[derive(Debug, Default)]
@@ -38,300 +259,79 @@ pub(crate) struct ClimbScratch {
     eq_prev: Vec<u64>,
     /// The `hits = s` bitmap of the current step (loss mask).
     eq_s: Vec<u64>,
-    /// Members buffer (replaces a `fc.nodes()` allocation per step).
+    /// Members buffer (replaces a `pc.nodes()` allocation per step).
     members: Vec<u16>,
-    /// Shuffle buffer for random restarts.
-    perm: Vec<u16>,
 }
 
-/// Per-rung decision record the certificate prover consumes: the greedy
-/// seed's outcome plus each climb pass's outcome, in restart order.
-/// Recorded identically by the serial loop below and the parallel
-/// fan-out in [`crate::parallel`] (whose entries differ because the two
-/// schedules differ — each is replayable against its own mode).
-#[derive(Debug, Default)]
-pub(crate) struct LadderTrace {
-    /// `(failed, witness)` of the greedy seed before any climbing.
-    pub greedy: Option<(u64, Vec<u16>)>,
-    /// `(failed, witness)` after each climb pass, in restart order.
-    pub restarts: Vec<(u64, Vec<u16>)>,
+/// The packed kernel as a [`Backend`]: gains come from a table kept
+/// live across every add and remove by folding the flips of the
+/// maintained `hits = s − 1` bitmap (`O(b/64)` per update instead of a
+/// row walk per query).
+pub(crate) struct PackedClimb<'a> {
+    pub pc: &'a mut PackedCounts,
+    pub cs: &'a mut ClimbScratch,
 }
 
-/// Greedy adversary: repeatedly fails the node that kills the most
-/// additional objects (ties broken toward higher-load nodes, which bring
-/// more objects closer to the threshold).
-///
-/// # Examples
-///
-/// ```
-/// use wcp_adversary::greedy_worst;
-/// use wcp_core::Placement;
-///
-/// let p = Placement::new(6, 2, vec![vec![0, 1], vec![0, 2], vec![0, 3]])?;
-/// let wc = greedy_worst(&p, 1, 1);
-/// assert_eq!(wc.nodes, vec![0]); // the hub node
-/// assert_eq!(wc.failed, 3);
-/// # Ok::<(), wcp_core::PlacementError>(())
-/// ```
-#[must_use]
-pub fn greedy_worst(placement: &Placement, s: u16, k: u16) -> WorstCase {
-    greedy_worst_with(placement, s, k, &mut AdversaryScratch::new())
-}
-
-/// [`greedy_worst`] reusing the caller's scratch buffers.
-#[must_use]
-pub fn greedy_worst_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    let (pc, cs, _) = scratch.bind_packed(placement, s);
-    greedy_into(pc, cs, k)
-}
-
-/// Runs the greedy ascent into `pc` (must be bound and empty); leaves
-/// `pc` holding the chosen node set and `cs` holding a live gain table
-/// so callers can keep climbing from it. Loads come straight from the
-/// kernel's CSR offsets — no per-call `placement.loads()` allocation —
-/// and candidate scans walk the non-member bitmap instead of testing
-/// `contains` per node.
-pub(crate) fn greedy_into(pc: &mut PackedCounts, cs: &mut ClimbScratch, k: u16) -> WorstCase {
-    let n = pc.num_nodes();
-    reset_gains(pc, cs);
-    for _ in 0..k.min(n) {
-        let mut best_node = None;
-        let mut best_key = (0u64, 0u32);
-        for nd in pc.iter_absent() {
-            let key = (cs.gains[usize::from(nd)] as u64, pc.load(nd));
-            if best_node.is_none() || key > best_key {
-                best_key = key;
-                best_node = Some(nd);
-            }
-        }
-        add_tracked(pc, cs, best_node.expect("k ≤ n leaves a choice"));
+impl Backend for PackedClimb<'_> {
+    fn universe(&self) -> usize {
+        usize::from(self.pc.num_nodes())
     }
-    WorstCase {
-        failed: pc.failed(),
-        nodes: pc.nodes(),
-        exact: false,
+
+    fn failed(&self) -> u64 {
+        self.pc.failed()
     }
-}
 
-/// (Re)initializes the gain table for an *empty* failed set: at `s = 1`
-/// every object sits one hit from failing, so a node's gain is its
-/// load; otherwise no object does, so all gains are zero. `O(n)` —
-/// no bitmap scan needed.
-fn reset_gains(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    debug_assert_eq!(pc.failed(), 0, "gain table reset requires an empty set");
-    let n = usize::from(pc.num_nodes());
-    cs.gains.clear();
-    if pc.threshold() == 1 {
-        cs.gains
-            .extend((0..n as u16).map(|nd| i64::from(pc.load(nd))));
-    } else {
-        cs.gains.resize(n, 0);
+    fn chosen(&self, x: usize) -> bool {
+        self.pc.contains(x as u16)
     }
-    cs.delta.clear();
-    cs.delta.resize(n, 0);
-}
 
-/// Adds `nd` to the failed set while keeping the gain table live:
-/// snapshot the `hits = s − 1` mask, apply the kernel update, then fold
-/// the mask's flipped bits (all within `nd`'s row) into the gains of
-/// each flipped object's hosts.
-fn add_tracked(pc: &mut PackedCounts, cs: &mut ClimbScratch, nd: u16) {
-    snapshot_eq(pc, cs);
-    pc.add_node(nd);
-    fold_eq_flips(pc, cs);
-}
-
-/// Copies the current `hits = s − 1` mask into the scratch snapshot.
-fn snapshot_eq(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    cs.eq_prev.clear();
-    cs.eq_prev.extend_from_slice(pc.eq_sm1_words());
-}
-
-/// Folds the XOR between the snapshot and the live `hits = s − 1` mask
-/// into the gain table: each flipped object adjusts the gain of its `r`
-/// hosts by ±1. After any single add/remove/swap the diff is confined
-/// to the touched nodes' rows, so this is a handful of popcount-sparse
-/// words.
-fn fold_eq_flips(pc: &PackedCounts, cs: &mut ClimbScratch) {
-    let eq_now = pc.eq_sm1_words();
-    for (w, (&prev, &now)) in cs.eq_prev.iter().zip(eq_now).enumerate() {
-        let mut diff = prev ^ now;
-        while diff != 0 {
-            let bit = diff.trailing_zeros() as usize;
-            diff &= diff - 1;
-            let obj = w * 64 + bit;
-            let d: i64 = if now >> bit & 1 == 1 { 1 } else { -1 };
-            for &host in pc.hosts_of(obj) {
-                cs.gains[usize::from(host)] += d;
-            }
-        }
+    fn gain(&mut self, x: usize) -> u64 {
+        self.cs.gains.get(x).copied().unwrap_or(0) as u64
     }
-}
 
-/// Debug-only invariant: `gains[nd] = |row(nd) ∩ {hits = s − 1}|`.
-#[cfg(debug_assertions)]
-fn assert_gains_live(pc: &PackedCounts, cs: &ClimbScratch) {
-    for nd in 0..pc.num_nodes() {
-        assert_eq!(
-            cs.gains[usize::from(nd)],
-            pc.and_popcount_row(nd, pc.eq_sm1_words()) as i64,
-            "gain table drifted at node {nd}"
-        );
+    fn weight(&self, x: usize) -> u64 {
+        u64::from(self.pc.load(x as u16))
     }
-}
 
-/// Steepest-ascent swap local search with restarts: from a seed `k`-set
-/// (greedy for the first restart, random thereafter), repeatedly applies
-/// the best single swap (one node out, one in) until no swap improves the
-/// failed-object count.
-///
-/// # Examples
-///
-/// ```
-/// use wcp_adversary::{local_search_worst, AdversaryConfig};
-/// use wcp_core::Placement;
-///
-/// let p = Placement::new(6, 3, vec![vec![0, 1, 2], vec![1, 2, 3]])?;
-/// let wc = local_search_worst(&p, 2, 2, &AdversaryConfig::default());
-/// assert_eq!(wc.failed, 2); // {1,2} kills both objects
-/// # Ok::<(), wcp_core::PlacementError>(())
-/// ```
-#[must_use]
-pub fn local_search_worst(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-) -> WorstCase {
-    local_search_worst_with(placement, s, k, config, &mut AdversaryScratch::new())
-}
-
-/// [`local_search_worst`] reusing the caller's scratch buffers: one
-/// [`PackedCounts`] serves the greedy seed and every restart (cleared
-/// in place between them, `O(b/64)` instead of a fresh index build),
-/// and one gain table rides along the whole way.
-#[must_use]
-pub fn local_search_worst_with(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-) -> WorstCase {
-    local_search_worst_traced(
-        placement,
-        s,
-        k,
-        config,
-        scratch,
-        &mut LadderTrace::default(),
-    )
-}
-
-/// [`local_search_worst_with`] recording the per-rung decision trace
-/// for the certificate prover. This *is* the implementation — the
-/// untraced entry point passes a discarded trace — so the certified and
-/// uncertified ladders cannot drift apart.
-pub(crate) fn local_search_worst_traced(
-    placement: &Placement,
-    s: u16,
-    k: u16,
-    config: &AdversaryConfig,
-    scratch: &mut AdversaryScratch,
-    trace: &mut LadderTrace,
-) -> WorstCase {
-    let n = placement.num_nodes();
-    if k >= n {
-        let nodes: Vec<u16> = (0..n).collect();
-        let failed = placement.failed_objects(&nodes, s);
-        return WorstCase {
-            failed,
-            nodes,
-            exact: false,
-        };
+    fn add(&mut self, x: usize) {
+        snapshot_eq(self.pc, self.cs);
+        self.pc.add_node(x as u16);
+        fold_eq_flips(self.pc, self.cs);
     }
-    // Million-object regime: run the (decision-identical) compressed
-    // histogram backend instead of the per-object packed planes.
-    if config.uses_histogram(placement.num_objects()) {
-        return crate::hist::local_search_hist_traced(placement, s, k, config, scratch, trace);
-    }
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let b = placement.num_objects() as u64;
-    let (pc, cs, _) = scratch.bind_packed(placement, s);
-    // Restart 0 climbs from the greedy set `greedy_into` leaves in `pc`
-    // (and the gain table it leaves in `cs`).
-    let mut overall = greedy_into(pc, cs, k);
-    trace.greedy = Some((overall.failed, overall.nodes.clone()));
 
-    for restart in 0..config.restarts {
-        if restart > 0 {
-            pc.clear();
-            seed_random_set(pc, cs, k, &mut rng);
-        }
-        climb(pc, cs, config.max_steps, b);
-        trace.restarts.push((pc.failed(), pc.nodes()));
-        if pc.failed() > overall.failed {
-            overall = WorstCase {
-                failed: pc.failed(),
-                nodes: pc.nodes(),
-                exact: false,
-            };
-        }
-        if overall.failed == b {
-            break; // cannot do better
-        }
+    fn remove(&mut self, x: usize) {
+        snapshot_eq(self.pc, self.cs);
+        self.pc.remove_node(x as u16);
+        fold_eq_flips(self.pc, self.cs);
     }
-    overall
-}
 
-/// Seeds a random `k`-set into an *empty* `pc` (a fresh gain table, a
-/// shuffled node permutation, the first `k` entries failed) — the
-/// restart primitive shared by the serial loop above and the parallel
-/// multi-restart fan-out in [`crate::parallel`].
-pub(crate) fn seed_random_set(
-    pc: &mut PackedCounts,
-    cs: &mut ClimbScratch,
-    k: u16,
-    rng: &mut StdRng,
-) {
-    reset_gains(pc, cs);
-    cs.perm.clear();
-    cs.perm.extend(0..pc.num_nodes());
-    cs.perm.shuffle(rng);
-    for i in 0..usize::from(k) {
-        let nd = cs.perm[i];
-        add_tracked(pc, cs, nd);
+    fn clear(&mut self) {
+        self.pc.clear();
+        reset_gains(self.pc, self.cs);
     }
-}
 
-/// Applies best-improvement swaps until a local optimum (or step cap).
-///
-/// Instead of the reference implementation's full re-scan — remove each
-/// member, re-derive every candidate's gain with an `O(ℓ)` walk, add the
-/// member back, `O(k·n·ℓ)` per step — this works entirely off the
-/// incremental gain table maintained since the seed set was built
-/// (delta-updated after every applied swap from the two swapped nodes'
-/// rows via [`fold_eq_flips`]), plus per-`out` corrections:
-///
-/// * the loss of removing `out` is one popcount of
-///   `row(out) ∩ {hits = s}`;
-/// * removing `out` shifts a candidate `inn`'s gain only on objects the
-///   two rows share, so one sparse walk of `row(out) ∩ {hits = s}` and
-///   `row(out) ∩ {hits = s − 1}` accumulates the exact correction for
-///   every candidate at once.
-pub(crate) fn climb(pc: &mut PackedCounts, cs: &mut ClimbScratch, max_steps: u32, all: u64) {
-    #[cfg(debug_assertions)]
-    assert_gains_live(pc, cs);
-    for _ in 0..max_steps {
-        let current = pc.failed();
-        if current == all {
-            return;
-        }
+    fn failable_within(&self, hits: u16) -> u64 {
+        self.pc.failable_within(hits)
+    }
+
+    fn choice(&self) -> Choice {
+        Choice::of_nodes(self.pc.failed(), self.pc.nodes())
+    }
+
+    /// Instead of the default's full re-scan (`O(k·n·ℓ)` per step), this
+    /// works entirely off the maintained gain table plus per-`out`
+    /// corrections:
+    ///
+    /// * the loss of removing `out` is one popcount of
+    ///   `row(out) ∩ {hits = s}`;
+    /// * removing `out` shifts a candidate `inn`'s gain only on objects
+    ///   the two rows share, so one sparse walk of `row(out) ∩ {hits = s}`
+    ///   and `row(out) ∩ {hits = s − 1}` accumulates the exact correction
+    ///   for every candidate at once.
+    fn best_swap(&mut self, current: u64) -> Option<(usize, usize, u64)> {
+        let (pc, cs) = (&*self.pc, &mut *self.cs);
+        #[cfg(debug_assertions)]
+        assert_gains_live(pc, cs);
         pc.eq_s_into(&mut cs.eq_s);
         pc.collect_nodes(&mut cs.members);
         let mut best: Option<(u16, u16, u64)> = None; // (out, in, value)
@@ -391,17 +391,203 @@ pub(crate) fn climb(pc: &mut PackedCounts, cs: &mut ClimbScratch, max_steps: u32
             }
             cs.delta.fill(0);
         }
-        let Some((out, inn, value)) = best else {
-            return;
-        };
-        snapshot_eq(pc, cs);
-        pc.remove_node(out);
-        pc.add_node(inn);
-        debug_assert_eq!(pc.failed(), value, "delta-maintained swap value drifted");
-        fold_eq_flips(pc, cs);
-        #[cfg(debug_assertions)]
-        assert_gains_live(pc, cs);
+        best.map(|(out, inn, value)| (usize::from(out), usize::from(inn), value))
     }
+
+    /// One mask snapshot and one fold for both halves of the swap.
+    fn swap(&mut self, out: usize, inn: usize) {
+        snapshot_eq(self.pc, self.cs);
+        self.pc.remove_node(out as u16);
+        self.pc.add_node(inn as u16);
+        fold_eq_flips(self.pc, self.cs);
+    }
+}
+
+/// The bare packed kernel as a [`Backend`], with no gain table: gains
+/// are row popcounts and updates skip the table's upkeep. This is the
+/// cheaper form where gains are few — the certificate ledger — or
+/// queried per leaf of a failure unit (`crate::domain`).
+impl Backend for PackedCounts {
+    fn universe(&self) -> usize {
+        usize::from(self.num_nodes())
+    }
+
+    fn failed(&self) -> u64 {
+        PackedCounts::failed(self)
+    }
+
+    fn chosen(&self, x: usize) -> bool {
+        self.contains(x as u16)
+    }
+
+    fn gain(&mut self, x: usize) -> u64 {
+        PackedCounts::gain(self, x as u16)
+    }
+
+    fn weight(&self, x: usize) -> u64 {
+        u64::from(self.load(x as u16))
+    }
+
+    fn add(&mut self, x: usize) {
+        self.add_node(x as u16);
+    }
+
+    fn remove(&mut self, x: usize) {
+        self.remove_node(x as u16);
+    }
+
+    fn clear(&mut self) {
+        PackedCounts::clear(self);
+    }
+
+    fn failable_within(&self, hits: u16) -> u64 {
+        PackedCounts::failable_within(self, hits)
+    }
+
+    fn choice(&self) -> Choice {
+        Choice::of_nodes(PackedCounts::failed(self), self.nodes())
+    }
+}
+
+/// (Re)initializes the gain table for an *empty* failed set: at `s = 1`
+/// every object sits one hit from failing, so a node's gain is its
+/// load; otherwise no object does, so all gains are zero. `O(n)` —
+/// no bitmap scan needed.
+fn reset_gains(pc: &PackedCounts, cs: &mut ClimbScratch) {
+    debug_assert_eq!(pc.failed(), 0, "gain table reset requires an empty set");
+    let n = usize::from(pc.num_nodes());
+    cs.gains.clear();
+    if pc.threshold() == 1 {
+        cs.gains
+            .extend((0..n as u16).map(|nd| i64::from(pc.load(nd))));
+    } else {
+        cs.gains.resize(n, 0);
+    }
+    cs.delta.clear();
+    cs.delta.resize(n, 0);
+}
+
+/// Copies the current `hits = s − 1` mask into the scratch snapshot.
+fn snapshot_eq(pc: &PackedCounts, cs: &mut ClimbScratch) {
+    cs.eq_prev.clear();
+    cs.eq_prev.extend_from_slice(pc.eq_sm1_words());
+}
+
+/// Folds the XOR between the snapshot and the live `hits = s − 1` mask
+/// into the gain table: each flipped object adjusts the gain of its `r`
+/// hosts by ±1. After any single add/remove/swap the diff is confined
+/// to the touched nodes' rows, so this is a handful of popcount-sparse
+/// words.
+fn fold_eq_flips(pc: &PackedCounts, cs: &mut ClimbScratch) {
+    let eq_now = pc.eq_sm1_words();
+    for (w, (&prev, &now)) in cs.eq_prev.iter().zip(eq_now).enumerate() {
+        let mut diff = prev ^ now;
+        while diff != 0 {
+            let bit = diff.trailing_zeros() as usize;
+            diff &= diff - 1;
+            let obj = w * 64 + bit;
+            let d: i64 = if now >> bit & 1 == 1 { 1 } else { -1 };
+            for &host in pc.hosts_of(obj) {
+                cs.gains[usize::from(host)] += d;
+            }
+        }
+    }
+}
+
+/// Debug-only invariant: `gains[nd] = |row(nd) ∩ {hits = s − 1}|`.
+#[cfg(debug_assertions)]
+fn assert_gains_live(pc: &PackedCounts, cs: &ClimbScratch) {
+    for nd in 0..pc.num_nodes() {
+        assert_eq!(
+            cs.gains[usize::from(nd)],
+            pc.and_popcount_row(nd, pc.eq_sm1_words()) as i64,
+            "gain table drifted at node {nd}"
+        );
+    }
+}
+
+/// Greedy adversary: repeatedly fails the node that kills the most
+/// additional objects (ties broken toward higher-load nodes, which bring
+/// more objects closer to the threshold).
+///
+/// # Examples
+///
+/// ```
+/// use wcp_adversary::greedy_worst;
+/// use wcp_core::Placement;
+///
+/// let p = Placement::new(6, 2, vec![vec![0, 1], vec![0, 2], vec![0, 3]])?;
+/// let wc = greedy_worst(&p, 1, 1);
+/// assert_eq!(wc.nodes, vec![0]); // the hub node
+/// assert_eq!(wc.failed, 3);
+/// # Ok::<(), wcp_core::PlacementError>(())
+/// ```
+#[must_use]
+pub fn greedy_worst(placement: &Placement, s: u16, k: u16) -> WorstCase {
+    greedy_worst_with(placement, s, k, &mut AdversaryScratch::new())
+}
+
+/// [`greedy_worst`] reusing the caller's scratch buffers.
+#[must_use]
+pub fn greedy_worst_with(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    scratch: &mut AdversaryScratch,
+) -> WorstCase {
+    let (pc, cs, _) = scratch.packed(placement, s, false);
+    let mut be = PackedClimb { pc, cs };
+    greedy(&mut be, k);
+    be.choice().worst(false)
+}
+
+/// Steepest-ascent swap local search with restarts: from a seed `k`-set
+/// (greedy for the first restart, random thereafter), repeatedly applies
+/// the best single swap (one node out, one in) until no swap improves the
+/// failed-object count.
+///
+/// # Examples
+///
+/// ```
+/// use wcp_adversary::{local_search_worst, AdversaryConfig};
+/// use wcp_core::Placement;
+///
+/// let p = Placement::new(6, 3, vec![vec![0, 1, 2], vec![1, 2, 3]])?;
+/// let wc = local_search_worst(&p, 2, 2, &AdversaryConfig::default());
+/// assert_eq!(wc.failed, 2); // {1,2} kills both objects
+/// # Ok::<(), wcp_core::PlacementError>(())
+/// ```
+#[must_use]
+pub fn local_search_worst(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+) -> WorstCase {
+    local_search_worst_with(placement, s, k, config, &mut AdversaryScratch::new())
+}
+
+/// [`local_search_worst`] reusing the caller's scratch buffers: one
+/// bound backend serves the greedy seed and every restart (cleared in
+/// place between them instead of rebuilt), and one gain table rides
+/// along the whole way.
+#[must_use]
+pub fn local_search_worst_with(
+    placement: &Placement,
+    s: u16,
+    k: u16,
+    config: &AdversaryConfig,
+    scratch: &mut AdversaryScratch,
+) -> WorstCase {
+    node_local_search(
+        placement,
+        s,
+        k,
+        config,
+        scratch,
+        &mut LadderTrace::default(),
+    )
+    .worst(false)
 }
 
 #[cfg(test)]
@@ -464,23 +650,41 @@ mod tests {
     #[test]
     fn kernel_ladder_matches_scalar_reference() {
         // The packed ladder must be decision-identical to the scalar
-        // oracle, witness included.
+        // oracle, witness included. Both run the same greedy, seeding
+        // and restart code, so their agreement cannot catch a change to
+        // those shared decisions (tie-breaks, RNG use, which restart's
+        // witness wins); a digest of the answers pins them.
         let cfg = AdversaryConfig::default();
+        let mut digest = wcp_core::Fnv::new();
         for seed in 0..4u64 {
             let p = random_placement(22, 120, 3, seed);
             for (s, k) in [(1u16, 3u16), (2, 4), (3, 5)] {
+                let greedy = greedy_worst(&p, s, k);
                 assert_eq!(
-                    greedy_worst(&p, s, k),
+                    greedy,
                     reference::greedy_worst(&p, s, k),
                     "greedy seed={seed} s={s} k={k}"
                 );
+                let ls = local_search_worst(&p, s, k, &cfg);
                 assert_eq!(
-                    local_search_worst(&p, s, k, &cfg),
+                    ls,
                     reference::local_search_worst(&p, s, k, &cfg),
                     "ls seed={seed} s={s} k={k}"
                 );
+                for wc in [greedy, ls] {
+                    digest.write_u64(wc.failed);
+                    digest.write_u64(wc.nodes.len() as u64);
+                    for nd in wc.nodes {
+                        digest.write_u64(u64::from(nd));
+                    }
+                }
             }
         }
+        assert_eq!(
+            digest.finish(),
+            0x3db1_ce85_a16f_94fa,
+            "heuristic decisions moved"
+        );
     }
 
     #[test]
