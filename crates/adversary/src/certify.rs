@@ -8,14 +8,14 @@
 //! a per-root-child **bound ledger** for the branch-and-bound tree.
 //!
 //! The ledger is computed *post hoc* on the binding the exact rung
-//! searched (the packed kernel for node budgets). Both the serial DFS
-//! root frame (depth 0 is below its re-sort depth) and the parallel
-//! frontier split order root children by the same total key —
-//! `(gain, load, node)` descending at the empty set — and expand
-//! exactly the first `n − k + 1` of them, so re-deriving that order
-//! after the search reproduces the true root frontier. For each root
-//! child `x` the recorded bound is the same admissible bound the DFS
-//! prunes with one level down:
+//! searched (the packed kernel for node budgets). The serial DFS root
+//! frame (depth 0 is below its re-sort depth), the parallel frontier
+//! split and this ledger all order root children through the DFS's own
+//! order function (`(gain, weight, element)` descending at the empty
+//! set), and the search expands exactly the first `n − k + 1` of them,
+//! so re-deriving that order after the search reproduces the true root
+//! frontier. For each root child `x` the recorded bound is the same
+//! admissible bound the DFS prunes with one level down:
 //!
 //! ```text
 //! bound(x) = failed({x}) + failable_within(k − 1)   (evaluated at {x})
@@ -35,7 +35,7 @@
 //! without expanding (the root short-circuit), the ledger still proves
 //! optimality outright.
 
-use crate::domain::hits_budget;
+use crate::exact::{hits_budget, root_order};
 use crate::search::{Backend, Choice, LadderTrace};
 use wcp_core::{
     placement_digest, Certificate, CertificateKind, Fnv, LedgerEntry, Placement, Rung, RungKind,
@@ -113,21 +113,15 @@ pub(crate) fn push_heuristic_rungs(
 pub(crate) fn ledger<B: Backend>(be: &mut B, k: u16) -> Vec<LedgerEntry> {
     be.clear();
     let hits = hits_budget(k.saturating_sub(1), be.max_hits());
-    let mut keys: Vec<(u64, u64, usize)> = (0..be.universe())
-        .map(|x| (be.gain(x), be.weight(x), x))
-        .collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
     let roots = (be.universe() + 1).saturating_sub(usize::from(k));
-    keys.iter()
+    root_order(be)
+        .into_iter()
         .take(roots)
-        .map(|&(_, _, x)| {
-            be.add(x);
+        .map(|root| {
+            be.add(root as usize);
             let bound = be.failed() + be.failable_within(hits);
-            be.remove(x);
-            LedgerEntry {
-                root: x as u32,
-                bound,
-            }
+            be.remove(root as usize);
+            LedgerEntry { root, bound }
         })
         .collect()
 }

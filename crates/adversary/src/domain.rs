@@ -9,13 +9,15 @@
 //! choices (a leaf plus the rack above it) count each leaf once.
 //!
 //! Failure units are one more backend of the node ladder: the greedy
-//! and local-search rungs and the ladder driver are the very ones
-//! [`crate::Ladder::run`] climbs, so on the **flat** topology
-//! [`crate::Ladder::run_domain`] reproduces the node ladder's
-//! [`crate::WorstCase`] bit for bit. The exact rung is a unit
-//! branch-and-bound of the same shape as the node DFS (incumbent
-//! seeding, histogram bound, shallow-depth supply bound and live child
-//! re-sorting, closed-form last level). The unit backend folds each
+//! and local-search rungs, the exact rung and the ladder driver are the
+//! very ones [`crate::Ladder::run`] climbs. The exact rung *is* the node
+//! DFS of the `exact` module on the unit backend, which answers only its
+//! supply query (the packed node kernel's fused bottom levels stay
+//! node-only; units use plain recursion, which spends the budget
+//! identically). So on the **flat** topology
+//! [`crate::Ladder::run_domain`] and [`domain_exact_worst`] reproduce
+//! the node ladder's [`crate::WorstCase`] bit for bit at every exact
+//! budget, budget exhaustion included. The unit backend folds each
 //! unit's per-node coverage into `add_node`/`remove_node` updates of a
 //! per-node backend (a node is added on its 0 → 1 coverage transition
 //! only, removed on 1 → 0): the word-parallel [`PackedCounts`] kernel in
@@ -30,15 +32,11 @@
 //! exactly.
 
 use crate::counts::{FailureCounts, PackedCounts};
+use crate::exact::{self, ExactBackend, FrameBufs};
 use crate::ladder::{drive, Rungs};
 use crate::search::{self, Backend, Choice, LadderTrace};
 use crate::{certify, AdversaryConfig};
 use wcp_core::{Certificate, CertificateKind, LedgerEntry, Placement, Topology};
-
-/// Depths at which the DFS re-sorts children by live gain and applies
-/// the supply bound (kept equal to the node ladder's constant so flat
-/// topologies explore identically).
-const SORT_DEPTH: u16 = 2;
 
 /// The outcome of a domain-adversary run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,29 +134,18 @@ impl DomainIndex {
     }
 }
 
-/// A per-node [`Backend`] the unit backend can run on — the packed
-/// kernel or the scalar oracle — plus the supply queries of the unit
-/// DFS. The unit backend is written once against it, so the packed and
-/// scalar domain ladders cannot drift apart.
-pub(crate) trait NodeCounts: Backend {
+/// A per-node backend the unit backend can run on — the packed kernel
+/// or the scalar oracle — with its exact-search supply query. The unit
+/// backend is written once against it, so the packed and scalar domain
+/// ladders cannot drift apart.
+pub(crate) trait NodeCounts: ExactBackend<Scratch: Default> {
     /// Builds the accounting for a placement at threshold `s`.
     fn build(placement: &Placement, s: u16) -> Self;
-    /// Prepares [`NodeCounts::node_supply`] queries at `hits` into
-    /// `mask` (a no-op for backends that need no mask).
-    fn supply_mask(&self, hits: u16, mask: &mut Vec<u64>);
-    /// Objects on `node` within `hits` more hits of failing.
-    fn node_supply(&self, node: u16, hits: u16, mask: &[u64]) -> u64;
 }
 
 impl NodeCounts for PackedCounts {
     fn build(placement: &Placement, s: u16) -> Self {
         PackedCounts::new(placement, s)
-    }
-    fn supply_mask(&self, hits: u16, mask: &mut Vec<u64>) {
-        self.failable_mask_into(hits, mask);
-    }
-    fn node_supply(&self, node: u16, _hits: u16, mask: &[u64]) -> u64 {
-        self.and_popcount_row(node, mask)
     }
 }
 
@@ -166,11 +153,21 @@ impl NodeCounts for FailureCounts {
     fn build(placement: &Placement, s: u16) -> Self {
         FailureCounts::new(placement, s)
     }
-    fn supply_mask(&self, _hits: u16, _mask: &mut Vec<u64>) {}
-    fn node_supply(&self, node: u16, hits: u16, _mask: &[u64]) -> u64 {
+}
+
+/// The scalar oracle's supply query: a walk of the node's objects (the
+/// scratch is the prepared hit budget).
+impl ExactBackend for FailureCounts {
+    type Scratch = u16;
+
+    fn begin_supply(&mut self, ks: &mut u16, hits: u16) {
+        *ks = hits;
+    }
+
+    fn supply(&self, &hits: &u16, x: usize) -> u64 {
         let s = self.threshold();
         let lo = s.saturating_sub(hits);
-        self.objects_on(node)
+        self.objects_on(x as u16)
             .iter()
             .filter(|&&obj| {
                 let h = self.hit_count(obj as usize);
@@ -282,16 +279,12 @@ impl CoverState {
 }
 
 /// Failure units of a topology as a [`Backend`], over a per-node
-/// backend `C`; also answers the exact rung's supply-bound queries.
+/// backend `C`; also answers the exact rung's supply queries.
 #[derive(Debug)]
 struct UnitBackend<C> {
     idx: DomainIndex,
     counts: C,
     cov: CoverState,
-    /// Hit budget of the prepared supply queries.
-    supply_hits: u16,
-    /// Failable-object mask of the prepared supply queries.
-    supply_mask: Vec<u64>,
     tmp: Vec<u16>,
 }
 
@@ -304,29 +297,8 @@ impl<C: NodeCounts> UnitBackend<C> {
             idx,
             counts: C::build(placement, s),
             cov,
-            supply_hits: 0,
-            supply_mask: Vec::new(),
             tmp: Vec::new(),
         }
-    }
-
-    /// Prepares [`UnitBackend::unit_supply`] queries at `hits`.
-    fn begin_supply(&mut self, hits: u16) {
-        self.supply_hits = hits;
-        self.counts.supply_mask(hits, &mut self.supply_mask);
-    }
-
-    /// Σ over the unit's uncovered leaves of hosted failable objects.
-    fn unit_supply(&self, u: usize) -> u64 {
-        self.idx
-            .leaves(u)
-            .iter()
-            .filter(|&&nd| !self.cov.covered(nd))
-            .map(|&nd| {
-                self.counts
-                    .node_supply(nd, self.supply_hits, &self.supply_mask)
-            })
-            .sum()
     }
 }
 
@@ -384,177 +356,41 @@ impl<C: NodeCounts> Backend for UnitBackend<C> {
     }
 }
 
-/// The admissible hit budget of `m` more unit failures.
-pub(crate) fn hits_budget(remaining: u16, c_max: u16) -> u16 {
-    (u32::from(remaining) * u32::from(c_max)).min(u32::from(u16::MAX)) as u16
+/// The unit backend's supply query: Σ over a unit's uncovered leaves of
+/// the per-node backend's supply.
+impl<C: NodeCounts> ExactBackend for UnitBackend<C> {
+    type Scratch = C::Scratch;
+
+    fn begin_supply(&mut self, ks: &mut C::Scratch, hits: u16) {
+        self.counts.begin_supply(ks, hits);
+    }
+
+    fn supply(&self, ks: &C::Scratch, u: usize) -> u64 {
+        let leaves = self.idx.leaves(u).iter();
+        let uncovered = leaves.filter(|&&nd| !self.cov.covered(nd));
+        uncovered
+            .map(|&nd| self.counts.supply(ks, usize::from(nd)))
+            .sum()
+    }
 }
 
-/// Branch-and-bound DFS over unit subsets (the unit analogue of the
-/// node exact search: incumbent seeding, histogram bound at the unit
-/// hit budget, shallow-depth supply bound + live child re-sorting,
-/// closed-form last level). Returns `None` on budget exhaustion;
-/// `best_units` is empty when no subset beat the incumbent. Expects an
-/// empty backend.
-fn exact_units<C: NodeCounts>(
+/// The exact rung on a unit backend: the one branch-and-bound of
+/// [`crate::exact`], the witness reported as units and their leaf union.
+fn unit_exact_search<C: NodeCounts>(
     be: &mut UnitBackend<C>,
     k: u16,
     budget: u64,
     incumbent: u64,
     all: u64,
-) -> Option<(u64, Vec<u32>)> {
-    let u_count = be.universe();
-    if usize::from(k) >= u_count {
-        for u in 0..u_count {
-            be.add(u);
-        }
-        return Some((be.failed(), be.cov.chosen_units()));
-    }
-    let mut order: Vec<u32> = (0..u_count as u32).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(be.weight(u as usize)));
-    let c_max = be.idx.max_unit_hits;
-    let mut search = DomainSearch {
-        be,
-        k,
-        best: incumbent,
-        best_units: Vec::new(),
-        expansions: 0,
-        budget,
-        all,
-        c_max,
-        sort_bufs: vec![Vec::new(); usize::from(SORT_DEPTH)],
-        keys: Vec::new(),
-        tops: Vec::new(),
-    };
-    if search.dfs(&order, 0) {
-        Some((search.best, search.best_units))
-    } else {
-        None
-    }
-}
-
-struct DomainSearch<'a, C> {
-    be: &'a mut UnitBackend<C>,
-    k: u16,
-    best: u64,
-    best_units: Vec<u32>,
-    expansions: u64,
-    budget: u64,
-    all: u64,
-    c_max: u16,
-    sort_bufs: Vec<Vec<u32>>,
-    keys: Vec<(u64, u64, u32)>,
-    tops: Vec<u64>,
-}
-
-impl<C: NodeCounts> DomainSearch<'_, C> {
-    /// Returns `false` on budget exhaustion.
-    fn dfs(&mut self, cands: &[u32], depth: u16) -> bool {
-        if depth == self.k {
-            // Only reachable for k = 0; positive k closes below.
-            if self.be.failed() > self.best {
-                self.best = self.be.failed();
-                self.best_units = self.be.cov.chosen_units();
-            }
-            return true;
-        }
-        let remaining = self.k - depth;
-        let failed = self.be.failed();
-        if remaining == 1 {
-            if self.best >= self.all {
-                return true;
-            }
-            for &u in cands {
-                self.expansions += 1;
-                if self.expansions > self.budget {
-                    return false;
-                }
-                let total = failed + self.be.gain(u as usize);
-                if total > self.best {
-                    self.best = total;
-                    self.best_units = self.be.cov.chosen_units();
-                    self.best_units.push(u);
-                    self.best_units.sort_unstable();
-                }
-            }
-            return true;
-        }
-        let hits = hits_budget(remaining, self.c_max);
-        let bound = failed + self.be.failable_within(hits);
-        if bound <= self.best || self.best >= self.all {
-            return true;
-        }
-        if depth < SORT_DEPTH {
-            self.be.begin_supply(hits);
-            let supply = self.supply_bound(cands, remaining);
-            if failed + supply <= self.best {
-                return true;
-            }
-            let Some(slot) = self.sort_bufs.get_mut(usize::from(depth)) else {
-                return self.expand(cands, depth, remaining);
-            };
-            let mut buf = std::mem::take(slot);
-            self.order_by_live_gain(cands, &mut buf);
-            let ok = self.expand(&buf, depth, remaining);
-            if let Some(slot) = self.sort_bufs.get_mut(usize::from(depth)) {
-                *slot = buf;
-            }
-            ok
-        } else {
-            self.expand(cands, depth, remaining)
-        }
-    }
-
-    fn expand(&mut self, cands: &[u32], depth: u16, remaining: u16) -> bool {
-        let last = cands.len() - usize::from(remaining) + 1;
-        for (pos, &u) in cands.iter().enumerate().take(last) {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            self.be.add(u as usize);
-            let ok = self.dfs(cands.get(pos + 1..).unwrap_or(&[]), depth + 1);
-            self.be.remove(u as usize);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Sorts `cands` into `buf` by decreasing `(gain, weight, unit)`
-    /// under the current partial failure set.
-    fn order_by_live_gain(&mut self, cands: &[u32], buf: &mut Vec<u32>) {
-        self.keys.clear();
-        for &u in cands {
-            let gain = self.be.gain(u as usize);
-            self.keys.push((gain, self.be.weight(u as usize), u));
-        }
-        self.keys.sort_unstable_by(|a, b| b.cmp(a));
-        buf.clear();
-        buf.extend(self.keys.iter().map(|&(_, _, u)| u));
-    }
-
-    /// Admissible hit-supply bound: at most the sum of the `remaining`
-    /// largest unit supplies among the candidates (each newly failed
-    /// object consumes at least one supplied hit).
-    fn supply_bound(&mut self, cands: &[u32], remaining: u16) -> u64 {
-        let m = usize::from(remaining);
-        self.tops.clear();
-        for &u in cands {
-            let supply = self.be.unit_supply(u as usize);
-            if self.tops.len() < m {
-                let at = self.tops.partition_point(|&t| t < supply);
-                self.tops.insert(at, supply);
-            } else if let Some(&min) = self.tops.first() {
-                if supply > min {
-                    self.tops.remove(0);
-                    let at = self.tops.partition_point(|&t| t < supply);
-                    self.tops.insert(at, supply);
-                }
-            }
-        }
-        self.tops.iter().sum()
-    }
+) -> Option<Choice> {
+    be.clear();
+    let (ks, bufs) = (&mut C::Scratch::default(), &mut FrameBufs::default());
+    let (failed, units) = exact::branch_and_bound(be, ks, bufs, k, budget, incumbent, all, None)?;
+    Some(Choice {
+        failed,
+        nodes: be.idx.nodes_of(&units),
+        units,
+    })
 }
 
 /// The unit-budget rungs: the shared heuristic rungs and the unit
@@ -584,15 +420,8 @@ impl<C: NodeCounts> Rungs for UnitRungs<'_, C> {
     }
 
     fn exact(&mut self, incumbent: u64) -> Option<Choice> {
-        self.be.clear();
         let budget = self.config.exact_budget;
-        let (failed, units) = exact_units(&mut self.be, self.k, budget, incumbent, self.all)?;
-        let nodes = self.be.idx.nodes_of(&units);
-        Some(Choice {
-            failed,
-            nodes,
-            units,
-        })
+        unit_exact_search(&mut self.be, self.k, budget, incumbent, self.all)
     }
 
     fn ledger(&mut self) -> Vec<LedgerEntry> {
@@ -675,13 +504,8 @@ fn unit_exact<C: NodeCounts>(
     check_shape(placement, topology, s, k);
     let mut be = UnitBackend::<C>::new(placement, topology, s);
     let all = placement.num_objects() as u64;
-    let (failed, units) = exact_units(&mut be, k, budget, incumbent, all)?;
-    Some(DomainWorstCase {
-        failed,
-        nodes: be.idx.nodes_of(&units),
-        units,
-        exact: true,
-    })
+    let choice = unit_exact_search(&mut be, k, budget, incumbent, all)?;
+    Some(DomainWorstCase::from_choice(choice, true))
 }
 
 /// Greedy domain adversary: repeatedly fails the unit killing the most
@@ -1009,5 +833,40 @@ mod tests {
         let wc = run_domain(&p, &topo, 2, 2, &AdversaryConfig::default());
         assert_eq!(outcome.failed, wc.failed);
         assert_eq!(outcome.nodes, wc.nodes);
+    }
+
+    #[test]
+    fn flat_topology_matches_node_exact_at_every_budget() {
+        // On the flat topology every unit is one leaf, so the unit search
+        // must spend its budget exactly as the node search does: the same
+        // completion, value and witness at every budget, including the
+        // edges where one more expansion decides completion.
+        let mut budgets = vec![1u64, 2];
+        while let [.., a, b] = budgets[..] {
+            if a + b > 4181 {
+                break;
+            }
+            budgets.push(a + b);
+        }
+        for seed in 0..6u64 {
+            for (n, b, r) in [(12, 60, 3), (16, 90, 3), (20, 120, 4), (14, 200, 2)] {
+                let p = random_placement(n, b, r, seed);
+                let flat = Topology::flat(n);
+                for (s, k) in (1..=r).flat_map(|s| (2..=5).map(move |k| (s, k))) {
+                    let greedy = crate::greedy_worst(&p, s, k).failed;
+                    for (&budget, inc) in budgets.iter().flat_map(|bu| [(bu, 0), (bu, greedy)]) {
+                        let node = crate::exact_worst(&p, s, k, budget, inc).map(|wc| {
+                            let units = wc.nodes.iter().map(|&nd| u32::from(nd)).collect();
+                            (wc.failed, wc.nodes, units)
+                        });
+                        let unit = domain_exact_worst(&p, &flat, s, k, budget, inc)
+                            .map(|dc| (dc.failed, dc.nodes, dc.units));
+                        let ctx =
+                            format!("seed={seed} n={n} s={s} k={k} budget={budget} inc={inc}");
+                        assert_eq!(node, unit, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,25 +1,35 @@
-//! Exact worst-case search: DFS over node combinations with
-//! branch-and-bound pruning, running on the word-parallel kernel.
+//! Exact worst-case search: one branch-and-bound DFS over the
+//! `k`-subsets of a [`Backend`]'s elements, run on node backends (the
+//! word-parallel [`PackedCounts`] kernel, serially here and
+//! frontier-parallel in [`crate::parallel`]) and on failure-unit
+//! backends ([`crate::domain`]). Every frame applies, in order:
 //!
-//! Three upgrades over the scalar reference DFS
-//! ([`crate::reference::exact_worst`]):
-//!
-//! * all accounting (add/remove/bounds) runs on [`PackedCounts`], so a
-//!   node expansion costs `O((b/64)·log r)` word operations;
-//! * alongside the histogram bound (`failable_within`), shallow depths
-//!   apply a **hit-supply bound** built from row/failable-set overlaps:
-//!   every newly failed object needs at least one more replica hit, and
-//!   the `m` remaining failures can supply at most the sum of the `m`
-//!   largest `|row(nd) ∩ failable|` among the live candidates — an
-//!   admissible cap that prunes whole subtrees the histogram bound
-//!   cannot;
-//! * shallow depths **re-sort their candidate children by live gain**
-//!   (then load), so the incumbent-beating sets are explored first and
-//!   the bounds bite sooner. Each frame orders only its own candidate
+//! * the **histogram bound**: everything failed plus everything within
+//!   `hits_budget(remaining, c_max)` more hits of failing, where `c_max`
+//!   is the most hits one element deals one object (1 for a node). At
+//!   the last level it is the O(1) ceiling that skips a whole candidate
+//!   sweep;
+//! * a **closed-form last level**: one more element fails exactly
+//!   `gain(x)` more objects, so the best completion is one gain sweep
+//!   with no add/remove churn;
+//! * at shallow depths, a **hit-supply bound**: every newly failed
+//!   object needs at least one more hit, and the `m` remaining failures
+//!   supply at most the sum of the `m` largest candidate supplies
+//!   (`|row(x) ∩ failable|` for a node) — an admissible cap that prunes
+//!   subtrees the histogram bound cannot — then a **live re-sort** of
+//!   the frame's children ([`order_by_live_gain`]), so incumbent-beating
+//!   sets are explored first. Each frame orders only its own candidate
 //!   slice, which preserves exactly-once subset enumeration.
+//!
+//! The backend answers the supply query ([`ExactBackend`]). The packed
+//! node kernel also fuses the bottom levels: the last level reads one
+//! batched gain table, and the bottom *two* levels close in one pair
+//! sweep over a path-maintained pair-correction matrix. Unit backends
+//! keep the defaults: per-element gains and plain recursion.
 
 use crate::counts::PackedCounts;
 use crate::pool::SharedBound;
+use crate::search::Backend;
 use crate::{AdversaryScratch, WorstCase};
 use wcp_core::Placement;
 
@@ -28,43 +38,6 @@ use wcp_core::Placement;
 /// choices; deeper frames keep the cheap static order.
 const SORT_DEPTH: u16 = 2;
 
-/// Reusable buffers for the exact DFS.
-#[derive(Debug, Default)]
-pub(crate) struct DfsScratch {
-    /// Root candidate ordering.
-    order: Vec<u16>,
-    /// Per-shallow-depth candidate buffers for live re-sorting.
-    sort_bufs: Vec<Vec<u16>>,
-    /// `(gain, load, node)` sort keys.
-    keys: Vec<(u64, u32, u16)>,
-    /// Failable-object mask for the supply bound.
-    failable: Vec<u64>,
-    /// Top-`m` supply accumulator.
-    tops: Vec<u64>,
-    /// Per-node gain table for the batched bottom-level sweeps.
-    gains: Vec<u64>,
-    /// `hits = s − 2` mask for the fused pair sweep's ceilings.
-    eq_lo: Vec<u64>,
-    /// Pairwise gain correction, `pair[lo·n + hi]` for node pair
-    /// `lo < hi`: `+1` per object at `hits = s − 2` hosted by both,
-    /// `−1` per object at `hits = s − 1` hosted by both — exactly the
-    /// difference between `gain({x, y})` and `gain(x) + gain(y)`.
-    /// Built once per binding at the empty failed set and delta-shifted
-    /// along the DFS path (see [`Search::pair_shift`]).
-    pair: Vec<i32>,
-    /// Binding key `(n, b, s)` of the cached root pair matrix; cleared
-    /// on rebinding.
-    pair_key: Option<(u16, usize, u16)>,
-}
-
-impl DfsScratch {
-    /// Drops the cached root pair matrix (the kernel is being rebound,
-    /// possibly to a different placement with the same shape).
-    pub(crate) fn invalidate_pair_cache(&mut self) {
-        self.pair_key = None;
-    }
-}
-
 /// Bottom-level frames with at least this many candidates compute all
 /// gains in one batched `eq_sm1` scan ([`PackedCounts::gains_into`],
 /// `O(b/64 + eq·r)`) instead of per-candidate row intersections
@@ -72,6 +45,482 @@ impl DfsScratch {
 /// to amortize. The threshold is a pure function of the frame, so the
 /// choice — and the search result — stays deterministic.
 const GAIN_BATCH_MIN: usize = 8;
+
+/// The admissible hit budget of `m` more failures when one element
+/// deals at most `c_max` hits to an object.
+pub(crate) fn hits_budget(remaining: u16, c_max: u16) -> u16 {
+    (u32::from(remaining) * u32::from(c_max)).min(u32::from(u16::MAX)) as u16
+}
+
+/// The child order of the exact search: `cands` into `out` by
+/// decreasing `(gain, weight, element)` under the backend's chosen set
+/// (a total order — the key ends in the element). The re-sorted DFS
+/// frames, the parallel root split and the certificate ledger all order
+/// children through this one function.
+pub(crate) fn order_by_live_gain<B: Backend>(
+    be: &mut B,
+    cands: &[u32],
+    keys: &mut Vec<(u64, u64, u32)>,
+    out: &mut Vec<u32>,
+) {
+    keys.clear();
+    for &x in cands {
+        let gain = be.gain(x as usize);
+        keys.push((gain, be.weight(x as usize), x));
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    out.clear();
+    out.extend(keys.iter().map(|&(_, _, x)| x));
+}
+
+/// The root frame's children: [`order_by_live_gain`] over every element
+/// at the backend's current (empty) set.
+pub(crate) fn root_order<B: Backend>(be: &mut B) -> Vec<u32> {
+    let all: Vec<u32> = (0..be.universe() as u32).collect();
+    let mut order = Vec::new();
+    order_by_live_gain(be, &all, &mut Vec::new(), &mut order);
+    order
+}
+
+/// A [`Backend`] the exact search runs on: the supply query of the
+/// shallow-depth bound, and opt-in fused bottom levels.
+pub(crate) trait ExactBackend: Backend + Sized {
+    /// State the hooks keep across calls (buffers, the prepared budget).
+    type Scratch;
+    /// Prepares [`ExactBackend::supply`] queries at a budget of `hits`.
+    fn begin_supply(&mut self, ks: &mut Self::Scratch, hits: u16);
+    /// Objects on element `x` within the prepared hit budget of failing:
+    /// the most hits `x` can contribute to new failures.
+    fn supply(&self, ks: &Self::Scratch, x: usize) -> u64;
+    /// Prepares the [`ExactBackend::frame_gain`] queries of a last-level
+    /// frame over `cands`.
+    fn begin_frame(&mut self, _ks: &mut Self::Scratch, _cands: &[u32]) {}
+    /// `x`'s gain in the prepared last-level frame.
+    fn frame_gain(&mut self, _ks: &Self::Scratch, x: usize) -> u64 {
+        self.gain(x)
+    }
+    /// Closes a frame with two failures left in one fused sweep over
+    /// `cands`, returning `false` on budget exhaustion; `None` leaves
+    /// the frame to plain recursion.
+    fn expand_pairs(_search: &mut Search<'_, Self>, _cands: &[u32]) -> Option<bool> {
+        None
+    }
+    /// Keeps the fused pair level's path state current as `x` joins
+    /// (`dir = 1`) or has left (`dir = −1`) the chosen set; `x` is
+    /// outside the set at both calls.
+    fn shift(&self, _ks: &mut Self::Scratch, _x: usize, _dir: i32) {}
+}
+
+/// Reusable frame buffers of the exact search.
+#[derive(Debug, Default)]
+pub(crate) struct FrameBufs {
+    /// Root candidate ordering.
+    order: Vec<u32>,
+    /// Per-shallow-depth candidate buffers for live re-sorting.
+    sort_bufs: Vec<Vec<u32>>,
+    /// `(gain, weight, element)` sort keys.
+    keys: Vec<(u64, u64, u32)>,
+    /// Top-`m` supply accumulator.
+    tops: Vec<u64>,
+}
+
+/// The root of a frontier-parallel task: the subtree under
+/// `order[pos]`, pruned also against the cross-worker bound.
+pub(crate) type Root<'a> = (&'a [u32], usize, &'a SharedBound);
+
+/// Exact branch-and-bound over the `k`-subsets of an empty backend's
+/// elements, seeded with the achievable `incumbent`: the best
+/// `(failed, sorted witness)` — the witness empty when no subset beat
+/// the incumbent — or `None` once `budget` expansions are spent. A `k`
+/// covering the universe fails every element.
+///
+/// With a [`Root`], searches only the subtree under `order[pos]` (over
+/// the strictly later candidates): the unit of work of the
+/// frontier-parallel search in [`crate::parallel`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn branch_and_bound<B: ExactBackend>(
+    be: &mut B,
+    ks: &mut B::Scratch,
+    bufs: &mut FrameBufs,
+    k: u16,
+    budget: u64,
+    incumbent: u64,
+    all: u64,
+    root: Option<Root<'_>>,
+) -> Option<(u64, Vec<u32>)> {
+    debug_assert_eq!(be.failed(), 0, "the search starts from an empty set");
+    let universe = be.universe();
+    if usize::from(k) >= universe {
+        for x in 0..universe {
+            be.add(x);
+        }
+        return Some((be.failed(), (0..universe as u32).collect()));
+    }
+    if bufs.sort_bufs.len() < usize::from(SORT_DEPTH) {
+        bufs.sort_bufs
+            .resize_with(usize::from(SORT_DEPTH), Vec::new);
+    }
+    let mut search = Search {
+        c_max: be.max_hits(),
+        be,
+        ks,
+        bufs,
+        k,
+        best: incumbent,
+        witness: Vec::new(),
+        path: Vec::new(),
+        expansions: 0,
+        budget,
+        all,
+        shared: root.map(|(_, _, shared)| shared),
+    };
+    let completed = if let Some((order, pos, _)) = root {
+        search.expansions = 1; // the root expansion itself
+        search.descend(order, pos, 0)
+    } else {
+        // Static fallback order: decreasing weight (stable, so equal
+        // weights keep ascending element order).
+        let mut order = std::mem::take(&mut search.bufs.order);
+        order.clear();
+        order.extend(0..universe as u32);
+        order.sort_by_key(|&x| std::cmp::Reverse(search.be.weight(x as usize)));
+        let completed = search.dfs(&order, 0);
+        search.bufs.order = order;
+        completed
+    };
+    completed.then_some((search.best, search.witness))
+}
+
+/// One exact search: the backend, the frame buffers, and the incumbent
+/// with the effort spent so far.
+pub(crate) struct Search<'a, B: ExactBackend> {
+    be: &'a mut B,
+    ks: &'a mut B::Scratch,
+    bufs: &'a mut FrameBufs,
+    k: u16,
+    /// The most hits one element deals one object.
+    c_max: u16,
+    best: u64,
+    witness: Vec<u32>,
+    /// The chosen elements, in search order.
+    path: Vec<u32>,
+    expansions: u64,
+    budget: u64,
+    /// Objects in total: nothing beats failing all of them.
+    all: u64,
+    /// Cross-worker incumbent for the frontier-parallel search; `None`
+    /// on the serial path. Pruning against it is *strictly below* only,
+    /// and local recording still uses the local `best`, which is what
+    /// keeps the combined optimum and witness thread-count-invariant.
+    shared: Option<&'a SharedBound>,
+}
+
+impl<B: ExactBackend> Search<'_, B> {
+    /// Counts one expansion; `false` once the budget is exhausted.
+    fn spend(&mut self) -> bool {
+        self.expansions += 1;
+        self.expansions <= self.budget
+    }
+
+    /// Whether a subtree bounded by `bound` cannot improve the answer:
+    /// it cannot beat the local best, or it lies strictly below another
+    /// worker's proven value.
+    fn pruned(&self, bound: u64) -> bool {
+        bound <= self.best || self.shared.is_some_and(|shared| bound < shared.get())
+    }
+
+    /// Records `total`, witnessed by the path plus `last`, when it beats
+    /// the best.
+    fn offer(&mut self, total: u64, last: &[u32]) {
+        if total > self.best {
+            self.best = total;
+            self.witness.clear();
+            self.witness.extend_from_slice(&self.path);
+            self.witness.extend_from_slice(last);
+            self.witness.sort_unstable();
+            if let Some(shared) = self.shared {
+                shared.tighten(total);
+            }
+        }
+    }
+
+    /// Returns `false` on budget exhaustion. `cands` is this frame's
+    /// candidate suffix; children recurse on strictly later candidates,
+    /// so every `k`-subset is visited exactly once.
+    fn dfs(&mut self, cands: &[u32], depth: u16) -> bool {
+        let failed = self.be.failed();
+        if depth == self.k {
+            // Only reachable for k = 0 or rooted k = 1 frames; positive k
+            // closes at the last level below.
+            self.offer(failed, &[]);
+            return true;
+        }
+        let remaining = self.k - depth;
+        // Histogram bound. At the last level it is the O(1) ceiling
+        // `gain(x) ≤ failable_within(c_max)` that skips the whole sweep.
+        let hits = hits_budget(remaining, self.c_max);
+        if self.best >= self.all || self.pruned(failed + self.be.failable_within(hits)) {
+            return true; // pruned (or already optimal)
+        }
+        if remaining == 1 {
+            return self.last_level(cands, failed);
+        }
+        if depth >= SORT_DEPTH {
+            return self.children(cands, depth);
+        }
+        let supply = self.supply_bound(cands, remaining, hits);
+        if self.pruned(failed + supply) {
+            return true;
+        }
+        let Some(slot) = self.bufs.sort_bufs.get_mut(usize::from(depth)) else {
+            return self.children(cands, depth);
+        };
+        let mut buf = std::mem::take(slot);
+        order_by_live_gain(self.be, cands, &mut self.bufs.keys, &mut buf);
+        let ok = self.children(&buf, depth);
+        if let Some(slot) = self.bufs.sort_bufs.get_mut(usize::from(depth)) {
+            *slot = buf;
+        }
+        ok
+    }
+
+    /// The closed-form last level: the best single gain completes the
+    /// frame.
+    fn last_level(&mut self, cands: &[u32], failed: u64) -> bool {
+        self.be.begin_frame(self.ks, cands);
+        for &x in cands {
+            if !self.spend() {
+                return false;
+            }
+            let gain = self.be.frame_gain(self.ks, x as usize);
+            self.offer(failed + gain, &[x]);
+        }
+        true
+    }
+
+    /// Iterates this frame's children in `cands` order, through the
+    /// backend's fused pair sweep when it has one.
+    fn children(&mut self, cands: &[u32], depth: u16) -> bool {
+        let remaining = self.k - depth;
+        if remaining == 2 {
+            if let Some(ok) = B::expand_pairs(self, cands) {
+                return ok;
+            }
+        }
+        let last = (cands.len() + 1).saturating_sub(usize::from(remaining));
+        (0..last).all(|pos| self.spend() && self.descend(cands, pos, depth))
+    }
+
+    /// Adds `cands[pos]`, searches its subtree over the strictly later
+    /// candidates, and removes it again. A child with two or more
+    /// failures left reaches a pair frame, so the backend's path state
+    /// is shifted across the add and the remove.
+    fn descend(&mut self, cands: &[u32], pos: usize, depth: u16) -> bool {
+        let Some(&x) = cands.get(pos) else {
+            return true;
+        };
+        let shift = self.k - depth >= 3;
+        if shift {
+            self.be.shift(self.ks, x as usize, 1);
+        }
+        self.be.add(x as usize);
+        self.path.push(x);
+        let ok = self.dfs(cands.get(pos + 1..).unwrap_or(&[]), depth + 1);
+        self.path.pop();
+        self.be.remove(x as usize);
+        if shift {
+            self.be.shift(self.ks, x as usize, -1);
+        }
+        ok
+    }
+
+    /// Admissible hit-supply bound: at most the sum of the `remaining`
+    /// largest candidate supplies at `hits`.
+    fn supply_bound(&mut self, cands: &[u32], remaining: u16, hits: u16) -> u64 {
+        let m = usize::from(remaining);
+        self.be.begin_supply(self.ks, hits);
+        let tops = &mut self.bufs.tops;
+        tops.clear();
+        for &x in cands {
+            let supply = self.be.supply(self.ks, x as usize);
+            // Keep the m largest supplies (ascending insertion into a
+            // tiny buffer; m ≤ k).
+            if tops.len() < m {
+                let at = tops.partition_point(|&t| t < supply);
+                tops.insert(at, supply);
+            } else if let Some(&min) = tops.first() {
+                if supply > min {
+                    tops.remove(0);
+                    let at = tops.partition_point(|&t| t < supply);
+                    tops.insert(at, supply);
+                }
+            }
+        }
+        tops.iter().sum()
+    }
+}
+
+/// Reusable buffers of the node exact search: the frame buffers plus the
+/// packed kernel's hook buffers.
+#[derive(Debug, Default)]
+pub(crate) struct DfsScratch {
+    frame: FrameBufs,
+    kernel: KernelScratch,
+}
+
+impl DfsScratch {
+    /// Drops the cached root pair matrix (the kernel is being rebound,
+    /// possibly to a different placement with the same shape).
+    pub(crate) fn invalidate_pair_cache(&mut self) {
+        self.kernel.pair_key = None;
+    }
+}
+
+/// The packed kernel's hook buffers.
+#[derive(Debug, Default)]
+pub(crate) struct KernelScratch {
+    /// Failable-object mask for the supply bound.
+    failable: Vec<u64>,
+    /// Per-node gain table for the batched bottom-level sweeps.
+    gains: Vec<u64>,
+    /// Whether the current last-level frame reads `gains`.
+    batched: bool,
+    /// `hits = s − 2` mask for the fused pair sweep's ceilings.
+    eq_lo: Vec<u64>,
+    /// Pairwise gain correction, `pair[lo·n + hi]` for node pair
+    /// `lo < hi`: `+1` per object at `hits = s − 2` hosted by both,
+    /// `−1` per object at `hits = s − 1` hosted by both — exactly the
+    /// difference between `gain({x, y})` and `gain(x) + gain(y)`.
+    /// Built once per binding at the empty failed set and delta-shifted
+    /// along the DFS path (see [`ExactBackend::shift`]).
+    pair: Vec<i32>,
+    /// Binding key `(n, b, s)` of the cached root pair matrix; cleared
+    /// on rebinding.
+    pair_key: Option<(u16, usize, u16)>,
+}
+
+/// The packed kernel's hooks: a failable mask for the supply query, the
+/// batched last-level gain table, and the fused pair sweep with its
+/// path-shifted correction matrix.
+impl ExactBackend for PackedCounts {
+    type Scratch = KernelScratch;
+
+    fn begin_supply(&mut self, ks: &mut KernelScratch, hits: u16) {
+        self.failable_mask_into(hits, &mut ks.failable);
+    }
+
+    fn supply(&self, ks: &KernelScratch, x: usize) -> u64 {
+        self.and_popcount_row(x as u16, &ks.failable)
+    }
+
+    fn begin_frame(&mut self, ks: &mut KernelScratch, cands: &[u32]) {
+        ks.batched = cands.len() >= GAIN_BATCH_MIN;
+        if ks.batched {
+            self.gains_into(&mut ks.gains);
+        }
+    }
+
+    fn frame_gain(&mut self, ks: &KernelScratch, x: usize) -> u64 {
+        if ks.batched {
+            ks.gains.get(x).copied().unwrap_or(0)
+        } else {
+            PackedCounts::gain(self, x as u16)
+        }
+    }
+
+    /// Closes the bottom **two** levels in one fused sweep. A
+    /// `remaining == 2` frame needs `max gain({x, y})` over candidate
+    /// pairs, and rippling every `x` through the counter planes just to
+    /// re-derive gains is the dominant cost of the whole search tree.
+    /// Instead `gain({x, y})` decomposes as
+    /// `gain(x) + gain(y) + pair[x, y]` — one gain-table build per
+    /// frame plus an O(1) lookup per pair into the path-maintained
+    /// correction matrix, with no add/remove churn at all. Enumeration
+    /// order, pruning ceilings, budget accounting, and recording match
+    /// the unfused recursion exactly, so results (and witnesses) are
+    /// unchanged.
+    fn expand_pairs(search: &mut Search<'_, Self>, cands: &[u32]) -> Option<bool> {
+        let failed = search.be.failed();
+        let eq_count = search.be.failable_within(1);
+        search.be.gains_into(&mut search.ks.gains);
+        search.be.eq_sm2_into(&mut search.ks.eq_lo);
+        let n = usize::from(search.be.num_nodes());
+        let last = cands.len().saturating_sub(1);
+        for (pos, &x) in cands.iter().enumerate().take(last) {
+            if !search.spend() {
+                return Some(false);
+            }
+            if search.best >= search.all {
+                continue;
+            }
+            // `gain(x)` straight from the table; the `hits = s − 2`
+            // overlap bounds what x can newly expose to its partner.
+            let gx = search.ks.gains.get(x as usize).copied().unwrap_or(0);
+            let dp_pop = search.be.and_popcount_row(x as u16, &search.ks.eq_lo);
+            let failed_x = failed + gx;
+            // The child's eq-ceiling, identical to the unfused
+            // `failed + failable_within(1)` after adding x.
+            if search.pruned(failed_x + (eq_count - gx + dp_pop)) {
+                continue;
+            }
+            for &y in cands.get(pos + 1..).unwrap_or(&[]) {
+                if !search.spend() {
+                    return Some(false);
+                }
+                let gy = search.ks.gains.get(y as usize).copied().unwrap_or(0);
+                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+                let pair = search.ks.pair.get(lo as usize * n + hi as usize);
+                let corr = pair.copied().unwrap_or(0);
+                let total = (failed_x + gy).wrapping_add_signed(i64::from(corr));
+                search.offer(total, &[x, y]);
+            }
+        }
+        Some(true)
+    }
+
+    /// Shifts the pair-correction matrix for `x` joining or leaving the
+    /// failed set: each of its objects moves one hit level, and only
+    /// levels `s − 2` and `s − 1` carry weight. Both calls see the same
+    /// hit counts, so they cancel exactly.
+    fn shift(&self, ks: &mut KernelScratch, x: usize, dir: i32) {
+        let s = self.threshold();
+        let n = usize::from(self.num_nodes());
+        for &obj in self.row_objects(x as u16) {
+            let obj = obj as usize;
+            let h = self.hit_count(obj);
+            let delta = dir * (pair_weight(h + 1, s) - pair_weight(h, s));
+            if delta != 0 {
+                bump_pairs(&mut ks.pair, n, self.hosts_of(obj), delta);
+            }
+        }
+    }
+}
+
+/// An object's weight in the pair-correction matrix at hit count `h`:
+/// `+1` one hit below the gain set (`h = s − 2`), `−1` inside it
+/// (`h = s − 1`), `0` elsewhere.
+fn pair_weight(h: u16, s: u16) -> i32 {
+    if h + 2 == s {
+        1
+    } else if h + 1 == s {
+        -1
+    } else {
+        0
+    }
+}
+
+/// Adds `delta` to the pair-matrix entry of every host pair of one
+/// object (canonical `lo < hi` indexing).
+fn bump_pairs(pair: &mut [i32], n: usize, hosts: &[u16], delta: i32) {
+    for (i, &a) in hosts.iter().enumerate() {
+        for &b in hosts.get(i + 1..).unwrap_or(&[]) {
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            if let Some(slot) = pair.get_mut(usize::from(lo) * n + usize::from(hi)) {
+                *slot += delta;
+            }
+        }
+    }
+}
 
 /// Finds the exact maximum number of failed objects over all `k`-subsets
 /// of nodes, or `None` if the search exceeds `budget` node expansions.
@@ -133,7 +582,12 @@ pub fn exact_worst_with(
     }
     let b = placement.num_objects() as u64;
     let (pc, _, ds) = scratch.packed(placement, s, false);
-    run_dfs(pc, ds, k, budget, incumbent, b)
+    let (failed, nodes) = run_dfs(pc, ds, k, budget, incumbent, b, None)?;
+    Some(WorstCase {
+        failed,
+        nodes,
+        exact: true,
+    })
 }
 
 /// The `k ≥ n` degenerate case: every node fails. The returned set
@@ -151,7 +605,12 @@ pub(crate) fn degenerate_all_nodes(placement: &Placement, s: u16, k: u16) -> Wor
     }
 }
 
-/// Runs the branch-and-bound DFS over an empty, bound kernel.
+/// [`branch_and_bound`] on an empty, bound kernel, with the witness as
+/// nodes. Builds (or reuses) the empty-set pair-correction matrix
+/// first; the search keeps it current from there through balanced
+/// [`ExactBackend::shift`] calls, so a cached matrix is already back in
+/// its root state.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_dfs(
     pc: &mut PackedCounts,
     ds: &mut DfsScratch,
@@ -159,427 +618,24 @@ pub(crate) fn run_dfs(
     budget: u64,
     incumbent: u64,
     b: u64,
-) -> Option<WorstCase> {
-    debug_assert_eq!(pc.failed(), 0, "DFS requires an empty failed set");
-    let n = pc.num_nodes();
-    // Static fallback order: decreasing load (stable, so equal loads
-    // keep ascending node order).
-    ds.order.clear();
-    ds.order.extend(0..n);
-    ds.order.sort_by_key(|&nd| std::cmp::Reverse(pc.load(nd)));
-    if ds.sort_bufs.len() < usize::from(SORT_DEPTH) {
-        ds.sort_bufs.resize_with(usize::from(SORT_DEPTH), Vec::new);
-    }
-    if k >= 2 {
-        ensure_pair_matrix(pc, ds);
-    }
-
-    let order = std::mem::take(&mut ds.order);
-    let mut search = Search {
-        pc,
-        ds,
-        k,
-        best: incumbent,
-        best_nodes: Vec::new(),
-        expansions: 0,
-        budget,
-        all_objects: b,
-        shared: None,
-    };
-    let completed = search.dfs(&order, 0);
-    let (best, best_nodes) = (search.best, search.best_nodes);
-    search.ds.order = order;
-    if completed {
-        Some(WorstCase {
-            failed: best,
-            nodes: best_nodes,
-            exact: true,
-        })
-    } else {
-        None
-    }
-}
-
-/// Explores the subtree rooted at `order[root_pos]` — the unit of work
-/// of the frontier-parallel exact search in [`crate::parallel`]. The
-/// kernel must be empty and bound; the root node is added, its subtree
-/// searched over the strictly-later candidates at depth 1, and the root
-/// removed again. Returns the subtree's `(best, witness)` over the
-/// local incumbent, or `None` on budget exhaustion. Pruning additionally
-/// consults `shared` (strictly below it only — see [`SharedBound`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dfs_rooted(
-    pc: &mut PackedCounts,
-    ds: &mut DfsScratch,
-    order: &[u16],
-    root_pos: usize,
-    k: u16,
-    budget: u64,
-    incumbent: u64,
-    b: u64,
-    shared: &SharedBound,
+    root: Option<Root<'_>>,
 ) -> Option<(u64, Vec<u16>)> {
-    debug_assert_eq!(pc.failed(), 0, "rooted DFS requires an empty failed set");
-    debug_assert!(k >= 1, "k = 0 has no root to branch on");
-    if ds.sort_bufs.len() < usize::from(SORT_DEPTH) {
-        ds.sort_bufs.resize_with(usize::from(SORT_DEPTH), Vec::new);
-    }
-    let Some(&root) = order.get(root_pos) else {
-        return Some((incumbent, Vec::new()));
-    };
-    if k >= 2 {
-        ensure_pair_matrix(pc, ds);
-    }
-    let tail = order.get(root_pos + 1..).unwrap_or(&[]);
-    let mut search = Search {
-        pc,
-        ds,
-        k,
-        best: incumbent,
-        best_nodes: Vec::new(),
-        expansions: 1, // the root expansion itself
-        budget,
-        all_objects: b,
-        shared: Some(shared),
-    };
-    if k >= 3 {
-        search.pair_shift(root, 1);
-    }
-    search.pc.add_node(root);
-    let completed = search.dfs(tail, 1);
-    search.pc.remove_node(root);
-    if k >= 3 {
-        search.pair_shift(root, -1);
-    }
-    let (best, best_nodes) = (search.best, search.best_nodes);
-    completed.then_some((best, best_nodes))
-}
-
-struct Search<'a> {
-    pc: &'a mut PackedCounts,
-    ds: &'a mut DfsScratch,
-    k: u16,
-    best: u64,
-    best_nodes: Vec<u16>,
-    expansions: u64,
-    budget: u64,
-    all_objects: u64,
-    /// Cross-worker incumbent for the frontier-parallel search; `None`
-    /// on the serial path. Pruning against it is *strictly below* only,
-    /// and local recording still uses the local `best`, which is what
-    /// keeps the combined optimum and witness thread-count-invariant.
-    shared: Option<&'a SharedBound>,
-}
-
-impl Search<'_> {
-    /// Returns `false` on budget exhaustion. `cands` is this frame's
-    /// candidate suffix; children recurse on strictly later candidates,
-    /// so every `k`-subset is visited exactly once.
-    fn dfs(&mut self, cands: &[u16], depth: u16) -> bool {
-        if depth == self.k {
-            // Only reachable for k = 0 (serial) or k = 1 rooted frames;
-            // positive-k serial search closes at `remaining == 1` below.
-            let failed = self.pc.failed();
-            if failed > self.best {
-                self.best = failed;
-                self.pc.collect_nodes(&mut self.best_nodes);
-                if let Some(shared) = self.shared {
-                    shared.tighten(failed);
-                }
-            }
-            return true;
-        }
-        let remaining = self.k - depth;
-        let failed = self.pc.failed();
-        if remaining == 1 {
-            // Closed-form last level: adding one more node fails
-            // exactly `gain(nd) = |row(nd) ∩ {hits = s − 1}|` more
-            // objects, so the best completion is a masked-popcount
-            // sweep over the candidates — no add/remove churn, and the
-            // bottom level is the bulk of the combination tree.
-            if self.best >= self.all_objects {
-                return true;
-            }
-            // O(1) level ceiling: gain(nd) ≤ |{hits = s − 1}| for every
-            // candidate, and `failable_within(1)` is exactly that
-            // eq-count. A frame whose ceiling cannot beat the incumbent
-            // skips the whole candidate sweep — the dominant cost of
-            // the combination tree's bottom level.
-            let ceiling = failed + self.pc.failable_within(1);
-            if ceiling <= self.best {
-                return true;
-            }
-            if let Some(shared) = self.shared {
-                if ceiling < shared.get() {
-                    return true;
-                }
-            }
-            let batched = cands.len() >= GAIN_BATCH_MIN;
-            if batched {
-                self.pc.gains_into(&mut self.ds.gains);
-            }
-            for &nd in cands {
-                self.expansions += 1;
-                if self.expansions > self.budget {
-                    return false;
-                }
-                let gain = if batched {
-                    self.ds.gains.get(usize::from(nd)).copied().unwrap_or(0)
-                } else {
-                    self.pc.gain(nd)
-                };
-                let total = failed + gain;
-                if total > self.best {
-                    self.best = total;
-                    self.pc.collect_nodes(&mut self.best_nodes);
-                    self.best_nodes.push(nd);
-                    self.best_nodes.sort_unstable();
-                    if let Some(shared) = self.shared {
-                        shared.tighten(total);
-                    }
-                }
-            }
-            return true;
-        }
-        // Histogram bound: everything failed plus everything failable
-        // within the remaining failures.
-        let bound = failed + self.pc.failable_within(remaining);
-        if bound <= self.best || self.best >= self.all_objects {
-            return true; // pruned (or already optimal)
-        }
-        if let Some(shared) = self.shared {
-            if bound < shared.get() {
-                return true; // below every other worker's proven value
-            }
-        }
-        if depth < SORT_DEPTH {
-            // Supply bound: the remaining failures can add at most one
-            // hit per (node, hosted failable object) pair, and each new
-            // failure needs at least one such hit.
-            let supply = self.supply_bound(cands, remaining);
-            if failed + supply <= self.best {
-                return true;
-            }
-            if let Some(shared) = self.shared {
-                if failed + supply < shared.get() {
-                    return true;
-                }
-            }
-            let mut buf = std::mem::take(&mut self.ds.sort_bufs[usize::from(depth)]);
-            self.order_by_live_gain(cands, &mut buf);
-            let ok = if remaining == 2 {
-                self.expand_pairs(&buf)
-            } else {
-                self.expand(&buf, depth, remaining)
-            };
-            self.ds.sort_bufs[usize::from(depth)] = buf;
-            ok
-        } else if remaining == 2 {
-            self.expand_pairs(cands)
-        } else {
-            self.expand(cands, depth, remaining)
-        }
-    }
-
-    /// Closes the bottom **two** levels in one fused sweep. A
-    /// `remaining == 2` frame needs `max gain({x, y})` over candidate
-    /// pairs, and rippling every `x` through the counter planes just to
-    /// re-derive gains is the dominant cost of the whole search tree.
-    /// Instead `gain({x, y})` decomposes as
-    /// `gain(x) + gain(y) + pair[x, y]` — one gain-table build per
-    /// frame plus an O(1) lookup per pair into the path-maintained
-    /// correction matrix, with no add/remove churn at all. Enumeration
-    /// order, pruning ceilings, budget accounting, and recording match
-    /// the unfused recursion exactly, so results (and witnesses) are
-    /// unchanged.
-    fn expand_pairs(&mut self, cands: &[u16]) -> bool {
-        let failed = self.pc.failed();
-        let eq_count = self.pc.failable_within(1);
-        self.pc.gains_into(&mut self.ds.gains);
-        self.pc.eq_sm2_into(&mut self.ds.eq_lo);
-        let n = usize::from(self.pc.num_nodes());
-        let last = cands.len().saturating_sub(1);
-        for (pos, &x) in cands.iter().enumerate().take(last) {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            if self.best >= self.all_objects {
-                continue;
-            }
-            // `gain(x)` straight from the table; the `hits = s − 2`
-            // overlap bounds what x can newly expose to its partner.
-            let gx = self.ds.gains.get(usize::from(x)).copied().unwrap_or(0);
-            let dp_pop = self.pc.and_popcount_row(x, &self.ds.eq_lo);
-            let failed_x = failed + gx;
-            // The child's eq-ceiling, identical to the unfused
-            // `failed + failable_within(1)` after adding x.
-            let ceiling = failed_x + (eq_count - gx + dp_pop);
-            if ceiling <= self.best {
-                continue;
-            }
-            if let Some(shared) = self.shared {
-                if ceiling < shared.get() {
-                    continue;
-                }
-            }
-            let tail = cands.get(pos + 1..).unwrap_or(&[]);
-            for &y in tail {
-                self.expansions += 1;
-                if self.expansions > self.budget {
-                    return false;
-                }
-                let gy = self.ds.gains.get(usize::from(y)).copied().unwrap_or(0);
-                let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-                let corr = self
-                    .ds
-                    .pair
-                    .get(usize::from(lo) * n + usize::from(hi))
-                    .copied()
-                    .unwrap_or(0);
-                let total = (failed_x + gy).wrapping_add_signed(i64::from(corr));
-                if total > self.best {
-                    self.best = total;
-                    self.pc.collect_nodes(&mut self.best_nodes);
-                    self.best_nodes.push(x);
-                    self.best_nodes.push(y);
-                    self.best_nodes.sort_unstable();
-                    if let Some(shared) = self.shared {
-                        shared.tighten(total);
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Iterates this frame's children in `cands` order. Only reached
-    /// with `remaining ≥ 3` (the pair level closes in
-    /// [`Search::expand_pairs`]), so every child subtree contains a pair
-    /// frame and the pair matrix is shifted across each add/remove.
-    fn expand(&mut self, cands: &[u16], depth: u16, remaining: u16) -> bool {
-        let last = cands.len() - usize::from(remaining) + 1;
-        for (pos, &nd) in cands.iter().enumerate().take(last) {
-            self.expansions += 1;
-            if self.expansions > self.budget {
-                return false;
-            }
-            self.pair_shift(nd, 1);
-            self.pc.add_node(nd);
-            let ok = self.dfs(&cands[pos + 1..], depth + 1);
-            self.pc.remove_node(nd);
-            self.pair_shift(nd, -1);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Shifts the pair-correction matrix for `nd` joining (`dir = 1`)
-    /// or having left (`dir = −1`) the failed set: each of its objects
-    /// moves one hit level, and only levels `s − 2` and `s − 1` carry
-    /// weight. Both calls happen with `nd` *outside* the failed set, so
-    /// they see the same hit counts and cancel exactly.
-    fn pair_shift(&mut self, nd: u16, dir: i32) {
-        let pc = &*self.pc;
-        let ds = &mut *self.ds;
-        let s = pc.threshold();
-        let n = usize::from(pc.num_nodes());
-        for &obj in pc.row_objects(nd) {
-            let obj = obj as usize;
-            let h = pc.hit_count(obj);
-            let delta = dir * (pair_weight(h + 1, s) - pair_weight(h, s));
-            if delta != 0 {
-                bump_pairs(&mut ds.pair, n, pc.hosts_of(obj), delta);
-            }
-        }
-    }
-
-    /// Sorts `cands` into `buf` by decreasing `(gain, load, node)` under
-    /// the current partial failure set.
-    fn order_by_live_gain(&mut self, cands: &[u16], buf: &mut Vec<u16>) {
-        let pc = &*self.pc;
-        self.ds.keys.clear();
-        self.ds
-            .keys
-            .extend(cands.iter().map(|&nd| (pc.gain(nd), pc.load(nd), nd)));
-        self.ds.keys.sort_unstable_by(|a, b| b.cmp(a));
-        buf.clear();
-        buf.extend(self.ds.keys.iter().map(|&(_, _, nd)| nd));
-    }
-
-    /// Admissible hit-supply bound: at most the sum of the `remaining`
-    /// largest `|row(nd) ∩ failable|` overlaps among the candidates.
-    fn supply_bound(&mut self, cands: &[u16], remaining: u16) -> u64 {
-        let m = usize::from(remaining);
-        self.pc.failable_mask_into(remaining, &mut self.ds.failable);
-        self.ds.tops.clear();
-        for &nd in cands {
-            let supply = self.pc.and_popcount_row(nd, &self.ds.failable);
-            // Keep the m largest supplies (ascending insertion into a
-            // tiny buffer; m ≤ k).
-            if self.ds.tops.len() < m {
-                let at = self.ds.tops.partition_point(|&t| t < supply);
-                self.ds.tops.insert(at, supply);
-            } else if let Some(&min) = self.ds.tops.first() {
-                if supply > min {
-                    self.ds.tops.remove(0);
-                    let at = self.ds.tops.partition_point(|&t| t < supply);
-                    self.ds.tops.insert(at, supply);
-                }
-            }
-        }
-        self.ds.tops.iter().sum()
-    }
-}
-
-/// An object's weight in the pair-correction matrix at hit count `h`:
-/// `+1` one hit below the gain set (`h = s − 2`), `−1` inside it
-/// (`h = s − 1`), `0` elsewhere.
-fn pair_weight(h: u16, s: u16) -> i32 {
-    if h + 2 == s {
-        1
-    } else if h + 1 == s {
-        -1
-    } else {
-        0
-    }
-}
-
-/// Adds `delta` to the pair-matrix entry of every host pair of one
-/// object (canonical `lo < hi` indexing).
-fn bump_pairs(pair: &mut [i32], n: usize, hosts: &[u16], delta: i32) {
-    for (i, &a) in hosts.iter().enumerate() {
-        for &b in hosts.get(i + 1..).unwrap_or(&[]) {
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            if let Some(slot) = pair.get_mut(usize::from(lo) * n + usize::from(hi)) {
-                *slot += delta;
-            }
-        }
-    }
-}
-
-/// Builds (or reuses) the empty-set pair-correction matrix for the
-/// current binding. Must be called with an empty failed set; the DFS
-/// keeps the matrix current from there via balanced
-/// [`Search::pair_shift`] calls, so a cached matrix is already back in
-/// its root state.
-fn ensure_pair_matrix(pc: &PackedCounts, ds: &mut DfsScratch) {
+    let ks = &mut ds.kernel;
     let key = (pc.num_nodes(), pc.num_objects(), pc.threshold());
-    if ds.pair_key == Some(key) {
-        return;
-    }
-    let n = usize::from(pc.num_nodes());
-    ds.pair.clear();
-    ds.pair.resize(n * n, 0);
-    let w0 = pair_weight(0, pc.threshold());
-    if w0 != 0 {
-        for obj in 0..pc.num_objects() {
-            bump_pairs(&mut ds.pair, n, pc.hosts_of(obj), w0);
+    if k >= 2 && ks.pair_key != Some(key) {
+        let n = usize::from(pc.num_nodes());
+        ks.pair.clear();
+        ks.pair.resize(n * n, 0);
+        let w0 = pair_weight(0, pc.threshold());
+        if w0 != 0 {
+            for obj in 0..pc.num_objects() {
+                bump_pairs(&mut ks.pair, n, pc.hosts_of(obj), w0);
+            }
         }
+        ks.pair_key = Some(key);
     }
-    ds.pair_key = Some(key);
+    let (failed, nodes) = branch_and_bound(pc, ks, &mut ds.frame, k, budget, incumbent, b, root)?;
+    Some((failed, nodes.into_iter().map(|x| x as u16).collect()))
 }
 
 #[cfg(test)]

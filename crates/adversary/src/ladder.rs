@@ -130,7 +130,7 @@ impl Rungs for NodeRungs<'_> {
         let (placement, s, k) = (self.placement, self.s, self.k);
         let budget = self.config.exact_budget;
         let reuse = std::mem::replace(&mut self.packed_bound, true);
-        let wc = match self.config.parallelism {
+        match self.config.parallelism {
             Some(parallelism) => parallel::exact_in(
                 placement,
                 s,
@@ -140,14 +140,14 @@ impl Rungs for NodeRungs<'_> {
                 parallelism,
                 self.scratch,
                 reuse,
-            )?,
+            ),
             None => {
                 let (pc, _, ds) = self.scratch.packed(placement, s, reuse);
                 let all = placement.num_objects() as u64;
-                exact::run_dfs(pc, ds, k, budget, incumbent, all)?
+                let (failed, nodes) = exact::run_dfs(pc, ds, k, budget, incumbent, all, None)?;
+                Some(Choice::of_nodes(failed, nodes))
             }
-        };
-        Some(Choice::of_nodes(wc.failed, wc.nodes))
+        }
     }
 
     fn ledger(&mut self) -> Vec<LedgerEntry> {

@@ -16,8 +16,8 @@
 //!
 //! **Exact search** splits the root frontier: task `i` explores the
 //! subtree rooted at the `i`-th child of the deterministic root order —
-//! the same `(gain, load, node)` descending key the serial DFS sorts
-//! its root frame by. Workers share the incumbent through a monotone
+//! the serial DFS's own child order (`(gain, load, node)` descending).
+//! Workers share the incumbent through a monotone
 //! [`SharedBound`] and prune strictly *below* it, so a subtree whose
 //! bound equals the optimum (and may therefore contain the first
 //! optimum-achieving witness in root order) is never discarded; local
@@ -224,11 +224,12 @@ pub fn exact_worst_parallel(
         &mut AdversaryScratch::new(),
         false,
     )
+    .map(|choice| choice.worst(true))
 }
 
-/// [`exact_worst_parallel`] computing the root frame on the caller's
-/// scratch (`reuse` as for [`AdversaryScratch::packed`]), which it
-/// leaves bound to `(placement, s)` for the certificate ledger.
+/// [`exact_worst_parallel`] as a [`Choice`], computing the root frame
+/// on the caller's scratch (`reuse` as for [`AdversaryScratch::packed`]),
+/// which it leaves bound to `(placement, s)` for the certificate ledger.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exact_in(
     placement: &Placement,
@@ -239,32 +240,25 @@ pub(crate) fn exact_in(
     parallelism: Parallelism,
     scratch: &mut AdversaryScratch,
     reuse: bool,
-) -> Option<WorstCase> {
+) -> Option<Choice> {
     let n = placement.num_nodes();
     if k >= n {
-        return Some(exact::degenerate_all_nodes(placement, s, k));
+        let all = exact::degenerate_all_nodes(placement, s, k);
+        return Some(Choice::of_nodes(all.failed, all.nodes));
     }
-    let confirmed = WorstCase {
-        failed: incumbent,
-        nodes: Vec::new(),
-        exact: true,
-    };
+    let confirmed = Choice::of_nodes(incumbent, Vec::new());
     if k == 0 {
         return Some(confirmed);
     }
     let b = placement.num_objects() as u64;
     // Root frame, computed once before the fan-out: the root-level
-    // histogram bound, then the deterministic child order under the
-    // same `(gain, load, node)` descending key the serial DFS sorts its
-    // root frame by (the key is a total order — it ends in the node id
-    // — so the order is unique and schedule-free).
+    // histogram bound, then the serial DFS's own child order (a total
+    // order, so unique and schedule-free).
     let (pc, _, _) = scratch.packed(placement, s, reuse);
     if incumbent >= b || pc.failable_within(k) <= incumbent {
         return Some(confirmed);
     }
-    let mut keys: Vec<(u64, u32, u16)> = (0..n).map(|nd| (pc.gain(nd), pc.load(nd), nd)).collect();
-    keys.sort_unstable_by(|a, b| b.cmp(a));
-    let order: Vec<u16> = keys.into_iter().map(|(_, _, nd)| nd).collect();
+    let order = exact::root_order(pc);
     // The serial root frame expands children 0 ..= n − k; one task per
     // child, each exploring that child's whole subtree.
     let tasks = usize::from(n - k) + 1;
@@ -272,7 +266,7 @@ pub(crate) fn exact_in(
     let results = fan_out(tasks, parallelism.threads(), Worker::default, |w, t| {
         let reuse = std::mem::replace(&mut w.packed, true);
         let (pc, _, ds) = w.scratch.packed(placement, s, reuse);
-        exact::dfs_rooted(pc, ds, &order, t, k, budget, incumbent, b, &shared)
+        exact::run_dfs(pc, ds, k, budget, incumbent, b, Some((&order, t, &shared)))
     });
     let mut failed = incumbent;
     let mut nodes = Vec::new();
@@ -284,11 +278,7 @@ pub(crate) fn exact_in(
             nodes = task_nodes;
         }
     }
-    Some(WorstCase {
-        failed,
-        nodes,
-        exact: true,
-    })
+    Some(Choice::of_nodes(failed, nodes))
 }
 
 #[cfg(test)]
